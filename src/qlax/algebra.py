@@ -35,11 +35,12 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or a string like ``-3/7`` to a Fraction.
 
-    Floats are rejected: they would smuggle rounding into the kernel.
+    Floats are rejected: they would smuggle rounding into the kernel, and
+    so are booleans, which Python counts as integers.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

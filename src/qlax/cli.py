@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -39,6 +40,8 @@ from . import expr
 
 PASS = "PASS"
 FAIL = "FAIL"
+
+_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -73,7 +76,7 @@ def cmd_commutator(args: argparse.Namespace) -> int:
 def cmd_kdv_verify(args: argparse.Namespace) -> int:
     l_op, p_op = kdv_pair()
     if args.perturb is not None:
-        p_op = p_op + PsdoSymbol.from_dp(DiffPoly.u(0).scale(rational(args.perturb)))
+        p_op = p_op + PsdoSymbol.from_dp(DiffPoly.u(0).scale(args.perturb))
     bracket = commutator(p_op, l_op)
     expected = PsdoSymbol.from_dp(expr.parse_diffpoly("6*u*u_1 - u_3"))
     difference = bracket - expected
@@ -140,7 +143,7 @@ def _symmetry_probes(args: argparse.Namespace, pf) -> list:
         if not pf.alg.is_zero(c) and c not in probes:
             probes.append(c)
     if args.probe_set:
-        probes.extend(load_probes(args.probe_set, pf.backend))
+        probes.extend(load_probes(args.probe_set, pf.backend, pf.alg))
     return probes
 
 
@@ -156,7 +159,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     probes = _symmetry_probes(args, pf)
     r3_zero = residual_vanishes(symmetry3_residual(sq, sol.pq), probes)
     r2_zero = symmetry2_residual(sq, sol.pq, sol.lq).is_zero()
-    carried = transported_solution_check(pf.s0, prob)
+    carried = transported_solution_check(pf.s0, prob, sol, sq)
     ok = r3_zero and r2_zero and carried
     if _resolve_format(args) == "json":
         doc = {
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kdv-verify", parents=[common], help="verify the shipped Lax-pair identity")
     p.add_argument(
-        "--perturb", metavar="EPS", default=None,
+        "--perturb", metavar="EPS", type=rational, default=None,
         help="add EPS*u to P before checking (demonstrates failure detection)",
     )
     p.set_defaults(func=cmd_kdv_verify)
@@ -252,16 +255,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", parents=[common], help="truncation-error study (matrix backend)")
     p.add_argument("problem", help="path to a matrix problem JSON file")
-    p.add_argument("--q", action="append", metavar="Q", help="evaluation point (repeatable; default 1/8, 1/16)")
+    p.add_argument("--q", action="append", type=rational, metavar="Q", help="evaluation point (repeatable; default 1/8, 1/16)")
     p.add_argument("--refN", type=int, default=None, help="reference truncation order (default N+6)")
     p.set_defaults(func=cmd_convergence)
 
     return parser
 
 
+def _attach_negative_fractions(argv: List[str]) -> List[str]:
+    # argparse takes "-3" as a value but reads "-1/10" as an option name;
+    # glue such a literal to the long option before it ("--perturb=-1/10").
+    # Arguments after a bare "--" are positional and stay as they are.
+    out: List[str] = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + list(argv[i:])
+        prev = out[-1] if out else ""
+        if _NEGATIVE_FRACTION.match(arg) and prev.startswith("--") and "=" not in prev:
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except QlaxError as e:

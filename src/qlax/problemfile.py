@@ -53,7 +53,8 @@ class ProblemFile:
             raise ProblemFileError("P", str(e)) from e
 
 
-def _entry_value(backend: str, raw: Any, field: str) -> Any:
+def _entry_value(backend: str, raw: Any, field: str, alg: Optional[Algebra] = None) -> Any:
+    """One backend element; a matrix must have the size of ``alg`` if given."""
     if backend == "psdo":
         if not isinstance(raw, str):
             raise ProblemFileError(field, "psdo entries are DSL expression strings")
@@ -64,9 +65,17 @@ def _entry_value(backend: str, raw: Any, field: str) -> Any:
     if not isinstance(raw, list) or not raw:
         raise ProblemFileError(field, "matrix entries are arrays of arrays of rationals")
     try:
-        return RatMatrix.of(raw)
+        value = RatMatrix.of(raw)
     except (ValueError, TypeError) as e:
         raise ProblemFileError(field, str(e)) from e
+    if alg is not None and value.n != alg.n:
+        raise ProblemFileError(field, f"dimension {value.n} does not match L0 ({alg.n})")
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true/false arrive as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
@@ -92,18 +101,17 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
     top = -1
     by_degree = {}
     for item in raw_p:
-        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], int):
+        if not isinstance(item, list) or len(item) != 2:
             raise ProblemFileError("P", "each item must be a [t-degree, entry] pair")
         degree, raw_entry = item
+        if not _is_int(degree):
+            raise ProblemFileError("P", f"t-degree must be an integer, got {degree!r}")
         if degree < 0:
             raise ProblemFileError("P", f"negative t-degree {degree}")
         if degree in seen:
             raise ProblemFileError("P", f"duplicate t-degree {degree}")
         seen.add(degree)
-        value = _entry_value(backend, raw_entry, "P")
-        if backend == "matrix" and value.n != alg.n:
-            raise ProblemFileError("P", f"dimension {value.n} does not match L0 ({alg.n})")
-        by_degree[degree] = value
+        by_degree[degree] = _entry_value(backend, raw_entry, "P", alg)
         top = max(top, degree)
     coeffs = [by_degree.get(k, alg.zero) for k in range(top + 1)]
     p = TPoly.of(alg, coeffs)
@@ -111,7 +119,7 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
     n = doc.get("N", default_n)
     if n is None:
         raise ProblemFileError("N", "missing (set N in the file or pass --qorder)")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ProblemFileError("N", f"must be an integer >= 1, got {n!r}")
 
     s0 = None
@@ -125,7 +133,7 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ProblemFileError("S0", "must be \"identity\" or a list of [left, right] pairs")
                 pairs.append(
-                    (_entry_value(backend, pair[0], "S0"), _entry_value(backend, pair[1], "S0"))
+                    (_entry_value(backend, pair[0], "S0", alg), _entry_value(backend, pair[1], "S0", alg))
                 )
             s0 = BiOp.of(alg, pairs)
         else:
@@ -143,8 +151,11 @@ def load_problem_file(path: str, default_n: Optional[int] = None) -> ProblemFile
     return load_problem(doc, default_n)
 
 
-def load_probes(path: str, backend: str) -> list:
-    """Extra probe elements from a JSON file: {"probes": [entry, ...]}."""
+def load_probes(path: str, backend: str, alg: Algebra) -> list:
+    """Extra probe elements from a JSON file: {"probes": [entry, ...]}.
+
+    Matrix probes must have the size of ``alg``, the problem's algebra.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -153,4 +164,4 @@ def load_probes(path: str, backend: str) -> list:
     raw = doc.get("probes") if isinstance(doc, dict) else None
     if not isinstance(raw, list):
         raise ProblemFileError("probes", "file must contain a \"probes\" list")
-    return [_entry_value(backend, item, "probes") for item in raw]
+    return [_entry_value(backend, item, "probes", alg) for item in raw]

@@ -15,12 +15,20 @@ compare in A, where equality is canonical.  ``default_probes`` supplies
 the standard probe sets and callers may extend them.
 
 Symmetries of the deformed flow obey the same kind of equation as the flow
-itself, with ad(Pq) in place of Pq, inside the algebra of t-polynomial
-BiOps.  The whole section is therefore a thin reuse of ``laxflow`` over
-the BiOp backend: ``exp_ad`` is the time-ordered exponential of the lifted
-path (the parallel transport of the connection d/dt + ad_Pq along time),
-``transport`` conjugates an initial symmetry by it, and both residual maps
-recompute their defining equations from scratch.
+itself, dS/dt = [ad(Pq), S], inside the algebra of t-polynomial BiOps.
+Its solution is conjugation by the time-ordered exponential W = texp(Pq):
+S(t)X = W S0(W^-1 X W) W^-1.  For S0 = sum_i (l_i, r_i) that is the
+closed form
+
+    S(t) = sum_i (W l_i W^-1, W r_i W^-1),
+
+which ``transport`` builds with one W, one W^-1 and as many pairs per
+coefficient as the product of the two sides' q-expansions needs; a side
+equal to 1 stays 1.  ``exp_ad``, the time-ordered exponential of the
+lifted path ad(Pq) (the parallel transport of the connection d/dt + ad_Pq),
+stays as the library form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.
+Both residual maps recompute dS/dt - [ad(Pq), S] from ``dt`` and
+``lift_ad``, never through W.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from .algebra import Algebra, TPoly, TPolyAlgebra, algebra_of, rational
 from .diffpoly import DiffPoly
 from .errors import TruncationMismatch
-from .laxflow import LaxProblem, lax_residual, lax_solve, texp
+from .laxflow import LaxProblem, LaxSolution, lax_residual, texp
 from .matrix import MatrixAlgebra, RatMatrix
 from .psdo import PsdoAlgebra, PsdoSymbol
 from .qseries import QSeries
@@ -183,15 +191,44 @@ def exp_ad(pq: QSeries) -> QSeries:
 
 
 def transport(s0: BiOp, pq: QSeries) -> QSeries:
-    """Carry an initial symmetry along time: exp_ad(Pq) o S0 o exp_ad(Pq)^-1.
+    """Carry an initial symmetry along time in closed form.
 
-    The result is the unique solution of dS/dt = [ad(Pq), S] with S(0) = s0,
-    modulo q^(N+1).
+    S(t) = sum_i (W l_i W^-1, W r_i W^-1) for S0 = sum_i (l_i, r_i) and
+    W = texp(pq): the unique solution of dS/dt = [ad(Pq), S] with
+    S(0) = s0, modulo q^(N+1).  The (q^k, t^m) coefficient pairs the
+    (q^k1, t^m1) coefficient of a left side with the (q^(k-k1), t^(m-m1))
+    coefficient of its right side.  For a path from ``deform`` the q^k
+    coefficient of W is homogeneous of t-degree k, so that is at most
+    len(s0.terms) * (k+1) pairs.
     """
-    e = exp_ad(pq)
-    balg = e.alg
-    s0_series = QSeries.constant(balg, pq.trunc, TPoly.const(balg.base, s0))
-    return e * s0_series * e.invert_unipotent()
+    base = s0.alg
+    talg = pq.alg
+    n = pq.trunc
+    sides = dict.fromkeys(x for pair in s0.terms for x in pair if x != base.one)
+    conj = {base.one: QSeries.one(talg, n)}
+    if sides:
+        w = texp(pq)
+        winv = w.invert_unipotent()
+        for x in sides:
+            conj[x] = w * QSeries.constant(talg, n, TPoly.const(base, x)) * winv
+    # Per side and q-order, the nonzero (t-degree, coefficient) entries.
+    nonzero = {
+        x: [[(m, c) for m, c in enumerate(tp.coeffs) if not base.is_zero(c)] for tp in series.coeffs]
+        for x, series in conj.items()
+    }
+    balg = BiOpAlgebra(base)
+    out = []
+    for k in range(n + 1):
+        by_t: dict[int, list] = {}
+        for left, right in s0.terms:
+            ls, rs = nonzero[left], nonzero[right]
+            for k1 in range(k + 1):
+                for m1, l in ls[k1]:
+                    for m2, r in rs[k - k1]:
+                        by_t.setdefault(m1 + m2, []).append((l, r))
+        top = max(by_t, default=-1)
+        out.append(TPoly(balg, tuple(BiOp.of(base, by_t.get(m, [])) for m in range(top + 1))))
+    return QSeries(TPolyAlgebra(balg), tuple(out))
 
 
 def symmetry3_residual(sq: QSeries, pq: QSeries) -> QSeries:
@@ -265,19 +302,22 @@ def residual_vanishes(residual: QSeries, probes: Sequence[Any]) -> bool:
     return all(apply_to_probe(residual, x).is_zero() for x in probes)
 
 
-def transported_solution_check(s0: BiOp, prob: LaxProblem) -> bool:
+def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq: QSeries) -> bool:
     """Transported symmetries map solutions to solutions.
 
-    Checks that M = S(t).Lq(t) both satisfies the deformed flow equation
-    and equals the conjugation solution started at S0(L0).
+    ``sol`` solves ``prob`` and ``sq`` is the transport of ``s0`` along
+    ``sol.pq``.  Checks that M = S(t).Lq(t) satisfies the deformed flow
+    equation and that M(t=0) is the constant series S0(L0).  Modulo
+    q^(N+1) the flow from a given initial value is unique (each q-order is
+    the integral from 0 of lower orders), so this says M is the conjugation
+    solution started at S0(L0), without solving for it.
     """
-    sol = lax_solve(prob)
-    sq = transport(s0, sol.pq)
     mq = apply_series(sq, sol.lq)
     if not lax_residual(mq, sol.pq).is_zero():
         return False
-    expected = lax_solve(LaxProblem(p=prob.p, l0=s0.apply(prob.l0), n=prob.n))
-    return mq == expected.lq
+    talg = sol.lq.alg
+    start = mq.map_coeffs(lambda tp: TPoly.const(talg.base, tp.coeff(0)))
+    return start == QSeries.constant(talg, prob.n, TPoly.const(talg.base, s0.apply(prob.l0)))
 
 
 def default_probes(alg: Algebra) -> List[Any]:

@@ -196,11 +196,11 @@ def test_criterion_6_symmetry_transport():
                 (mat_random(nn, next(stream), 2), mat_random(nn, next(stream), 2)),
             ],
         )
-        pq, _ = deform(prob.p, prob.n)
-        sq = transport(s0, pq)
-        if not residual_vanishes(symmetry3_residual(sq, pq), default_probes(alg)):
+        sol = lax_solve(prob)
+        sq = transport(s0, sol.pq)
+        if not residual_vanishes(symmetry3_residual(sq, sol.pq), default_probes(alg)):
             bad.append((i, "symmetry3"))
-        if not transported_solution_check(s0, prob):
+        if not transported_solution_check(s0, prob, sol, sq):
             bad.append((i, "transported"))
 
     l_op, p_op = kdv_pair()
@@ -208,12 +208,12 @@ def test_criterion_6_symmetry_transport():
     probes = default_probes(palg) + [l_op, p_op]
     for n in (1, 2):
         prob = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=n)
-        pq, _ = deform(prob.p, prob.n)
+        sol = lax_solve(prob)
         for s0 in (BiOp.identity(palg), BiOp.of(palg, [(l_op, PsdoSymbol.one())])):
-            sq = transport(s0, pq)
-            if not residual_vanishes(symmetry3_residual(sq, pq), probes):
+            sq = transport(s0, sol.pq)
+            if not residual_vanishes(symmetry3_residual(sq, sol.pq), probes):
                 bad.append(("kdv", n, "symmetry3"))
-            if not transported_solution_check(s0, prob):
+            if not transported_solution_check(s0, prob, sol, sq):
                 bad.append(("kdv", n, "transported"))
     report(6, not bad, f"50 matrix + 4 KdV transports, failures: {bad or 'none'}")
 

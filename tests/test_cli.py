@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from qlax.cli import main
 
@@ -58,6 +59,29 @@ def test_kdv_verify_perturbed_fails(capsys):
     validate(doc, "kdv_verify.schema.json")
     assert doc["pass"] is False
     assert doc["difference"]["terms"]
+
+
+def test_kdv_verify_negative_fraction_perturb(capsys):
+    # "-1/10" after the flag is its value, as in "--perturb=-1/10"
+    code, out, err = run(capsys, "kdv-verify", "--perturb", "-1/10")
+    assert code == 1
+    assert "FAIL" in out and not err
+    _, joined, _ = run(capsys, "kdv-verify", "--perturb=-1/10")
+    assert out == joined
+    code, doc, _ = run_json(capsys, "kdv-verify", "--perturb", "-1/10")
+    assert code == 1
+    assert doc["pass"] is False
+
+
+def test_rational_options_reject_floats(capsys):
+    for argv in (
+        ["kdv-verify", "--perturb", "0.1"],
+        ["convergence", str(PROBLEMS / "matrix3x3_n2.json"), "--q", "0.5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid rational value" in capsys.readouterr().err
 
 
 # -- commutator ------------------------------------------------------------------
@@ -210,6 +234,27 @@ def test_symmetry_probe_set_extension(tmp_path, capsys):
     assert doc["probes"] == 8  # 4 units + L0 + two P coefficients + 1 extra
 
 
+def test_symmetry_rejects_missized_probe(tmp_path, capsys):
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"probes": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]}))
+    code, out, err = run(
+        capsys, "symmetry", str(PROBLEMS / "matrix_symmetry_n3.json"), "--probe-set", str(probes)
+    )
+    assert code == 2
+    assert not out
+    assert "probes" in err and "dimension 3" in err
+
+
+def test_symmetry_rejects_missized_s0(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "matrix_symmetry_n3.json").read_text())
+    doc["S0"] = [[[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], [["1", "0"], ["0", "1"]]]]
+    path = tmp_path / "s0.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "symmetry", str(path))
+    assert code == 2
+    assert "S0" in err
+
+
 # -- convergence ---------------------------------------------------------------------
 
 def test_convergence_matrix(capsys):
@@ -273,6 +318,22 @@ def test_rejects_float_entries(tmp_path, capsys):
     code, _, err = run(capsys, "lax-solve", str(path))
     assert code == 2
     assert "L0" in err
+
+
+def test_rejects_booleans_as_integers(tmp_path, capsys):
+    base = json.loads((PROBLEMS / "nilpotent2x2_n2.json").read_text())
+    cases = [
+        ({"N": True}, "'N'"),
+        ({"P": [[True, [["0", "1"], ["0", "0"]]]]}, "'P'"),
+        ({"L0": [[True, "0"], ["0", "1"]]}, "'L0'"),
+    ]
+    for change, field in cases:
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({**base, **change}))
+        code, out, err = run(capsys, "lax-solve", str(path))
+        assert code == 2
+        assert not out
+        assert field in err
 
 
 def test_module_entry_point_subprocess():

@@ -27,6 +27,7 @@ from qlax import (
     deform,
     exp_ad,
     kdv_pair,
+    lax_residual,
     lax_solve,
     mat_random,
     residual_vanishes,
@@ -178,14 +179,13 @@ def test_exp_ad_time_independent_coefficient():
 # -- transport -------------------------------------------------------------------
 
 def test_transport_identity_is_constant():
-    prob = rand_problem(2, n=3, nn=2)
-    pq, _ = deform(prob.p, prob.n)
-    sq = transport(BiOp.identity(M2), pq)
+    # exactly the constant series, not just extensionally: W 1 W^-1 = 1
+    # needs no products
     balg = BiOpAlgebra(M2)
-    ident = QSeries.one(TPolyAlgebra(balg), prob.n)
-    # extensional comparison per the BiOp equality contract
-    for x in UNITS2:
-        assert apply_to_probe(sq, x) == apply_to_probe(ident, x)
+    for n in (1, 3):
+        pq, _ = deform(rand_problem(2, n=n, nn=2).p, n)
+        sq = transport(BiOp.identity(M2), pq)
+        assert sq == QSeries.one(TPolyAlgebra(balg), n)
 
 
 def test_transport_of_ad_l0_solves_symmetry_equation():
@@ -205,6 +205,54 @@ def test_transport_conjugation_matches_conjugated_flow():
     mq = apply_series(sq, sol.lq)
     expected = lax_solve(LaxProblem(p=prob.p, l0=g * prob.l0 * ginv, n=prob.n))
     assert mq == expected.lq
+
+
+def exp_ad_transport(s0, pq):
+    """The construction transport replaces, kept as a reference:
+    exp_ad(Pq) o S0 o exp_ad(Pq)^-1 as BiOp series products."""
+    e = exp_ad(pq)
+    s0_series = QSeries.constant(e.alg, pq.trunc, TPoly.const(e.alg.base, s0))
+    return e * s0_series * e.invert_unipotent()
+
+
+def assert_closed_form(s0, pq, probes):
+    """transport equals the exp_ad construction on the probes and stays
+    within len(S0.terms) * (k+1) pairs at q^k; returns the transport."""
+    sq = transport(s0, pq)
+    reference = exp_ad_transport(s0, pq)
+    for x in probes:
+        assert apply_to_probe(sq, x) == apply_to_probe(reference, x)
+    for k, tp in enumerate(sq.coeffs):
+        for bop in tp.coeffs:
+            assert len(bop.terms) <= len(s0.terms) * (k + 1)
+    return sq
+
+
+def test_transport_closed_form_matches_exp_ad_on_matrices():
+    # matrix units span, so agreement on them is equality of the maps
+    for nn in (2, 3):
+        alg = MatrixAlgebra(nn)
+        for n in range(1, 5):
+            prob = rand_problem(100 * nn + n, n=n, nn=nn, deg=min(n - 1, 1))
+            pq, _ = deform(prob.p, prob.n)
+            stream = int_stream(200 * nn + n)
+            s0 = rand_biop(alg, stream)
+            while len(s0.terms) != 2:  # skip draws whose pairs merge
+                s0 = rand_biop(alg, stream)
+            assert_closed_form(s0, pq, default_probes(alg))
+
+
+def test_transport_closed_form_matches_exp_ad_on_kdv():
+    l_op, p_op = kdv_pair()
+    palg = PsdoAlgebra()
+    one = PsdoSymbol.one()
+    probes = default_probes(palg) + [l_op, p_op]
+    for n in (1, 2, 3):
+        pq, _ = deform(TPoly.const(palg, p_op), n)
+        for s0 in (BiOp.identity(palg), BiOp.of(palg, [(l_op, one)]), BiOp.of(palg, [(one, l_op)])):
+            sq = assert_closed_form(s0, pq, probes)
+            # one side is 1, so every nonzero coefficient is a single pair
+            assert {len(b.terms) for tp in sq.coeffs for b in tp.coeffs if b.terms} == {1}
 
 
 # -- residuals ----------------------------------------------------------------------
@@ -291,9 +339,15 @@ def test_symmetry2_is_strictly_weaker():
 
 # -- transported solutions -------------------------------------------------------
 
+def carries_solutions(s0, prob):
+    """The symmetry command's check: one solve, one transport."""
+    sol = lax_solve(prob)
+    return transported_solution_check(s0, prob, sol, transport(s0, sol.pq))
+
+
 def test_transported_solution_identity():
     prob = rand_problem(29, n=2, nn=2)
-    assert transported_solution_check(BiOp.identity(M2), prob)
+    assert carries_solutions(BiOp.identity(M2), prob)
 
 
 def test_transported_solution_random_matrix():
@@ -301,7 +355,7 @@ def test_transported_solution_random_matrix():
         prob = rand_problem(seed, n=3, nn=2)
         stream = int_stream(seed + 1000)
         s0 = rand_biop(M2, stream)
-        assert transported_solution_check(s0, prob)
+        assert carries_solutions(s0, prob)
 
 
 def test_transported_solution_kdv():
@@ -310,9 +364,48 @@ def test_transported_solution_kdv():
     prob = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=2)
     degenerate = ad(PsdoSymbol.one()) + BiOp.identity(palg)
     assert degenerate.extensionally_equal(BiOp.identity(palg), default_probes(palg))
-    assert transported_solution_check(degenerate, prob)
+    assert carries_solutions(degenerate, prob)
     left_mult = BiOp.of(palg, [(l_op, PsdoSymbol.one())])
-    assert transported_solution_check(left_mult, prob)
+    assert carries_solutions(left_mult, prob)
+
+
+def test_transported_solution_rejects_wrong_start():
+    # transported from S0' with S0'(L0) != S0(L0): a solution, but not the
+    # one that starts at S0(L0)
+    prob = rand_problem(59, n=3, nn=2)
+    sol = lax_solve(prob)
+    stream = int_stream(61)
+    s0, other = rand_biop(M2, stream), rand_biop(M2, stream)
+    assert other.apply(prob.l0) != s0.apply(prob.l0)
+    sq = transport(other, sol.pq)
+    assert lax_residual(apply_series(sq, sol.lq), sol.pq).is_zero()
+    assert transported_solution_check(other, prob, sol, sq)
+    assert not transported_solution_check(s0, prob, sol, sq)
+
+    l_op, p_op = kdv_pair()
+    palg = PsdoAlgebra()
+    kdv = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=2)
+    sol = lax_solve(kdv)
+    left_mult = BiOp.of(palg, [(l_op, PsdoSymbol.one())])
+    sq = transport(left_mult, sol.pq)
+    assert not transported_solution_check(BiOp.identity(palg), kdv, sol, sq)
+
+
+def test_transported_solution_rejects_perturbed_coefficient():
+    # a t-linear bump leaves M(t=0) as it was, so only the flow equation
+    # can reject it
+    prob = rand_problem(67, n=3, nn=2)
+    sol = lax_solve(prob)
+    s0 = rand_biop(M2, int_stream(71))
+    sq = transport(s0, sol.pq)
+    assert transported_solution_check(s0, prob, sol, sq)
+    balg = BiOpAlgebra(M2)
+    for k in (1, prob.n):
+        bump = QSeries.term(TPolyAlgebra(balg), prob.n, TPoly.t_power(balg, BiOp.identity(M2), 1), k)
+        perturbed = sq + bump
+        start = lambda s: [tp.coeff(0) for tp in apply_series(s, sol.lq).coeffs]
+        assert start(perturbed) == start(sq)
+        assert not transported_solution_check(s0, prob, sol, perturbed)
 
 
 def test_default_probes_shapes():
