@@ -10,7 +10,6 @@ and verifies the results by recomputing every defining equation exactly.
 from .algebra import Algebra, Rational, RationalAlgebra, TPoly, TPolyAlgebra, rational
 from .diffpoly import DiffPoly, DiffPolyAlgebra
 from .errors import (
-    NotAUnit,
     ParseError,
     PrecisionExhausted,
     ProblemFileError,
@@ -51,7 +50,6 @@ from .symops import (
     ad,
     apply_series,
     apply_to_probe,
-    default_probes,
     exp_ad,
     lift_ad,
     residual_vanishes,
@@ -76,7 +74,6 @@ __all__ = [
     "LaxProblem",
     "LaxSolution",
     "MatrixAlgebra",
-    "NotAUnit",
     "ParseError",
     "PrecisionExhausted",
     "ProblemFileError",
@@ -100,7 +97,6 @@ __all__ = [
     "commutator",
     "compose",
     "convergence_study",
-    "default_probes",
     "deform",
     "dt_series",
     "eval_tq",

@@ -4,9 +4,10 @@ Every scalar in the kernel is a ``fractions.Fraction``: arbitrary precision,
 stored in lowest terms with a positive denominator, so nothing ever rounds.
 
 An :class:`Algebra` value describes a unital associative algebra over the
-rationals.  It only has to supply ``zero``, ``one`` and rational scaling;
-the element values themselves implement ``+``, unary ``-``, ``*`` (possibly
-noncommutative) and structural ``==`` on canonical forms.  The generic
+rationals.  It only has to supply ``zero``, ``one`` and rational scaling,
+and a backend also supplies its probe set.  The element values themselves
+implement ``+``, unary ``-``, ``*`` (possibly noncommutative), structural
+``==`` on canonical forms, ``to_json()`` and ``max_abs()``.  The generic
 containers defined here and elsewhere (:class:`TPoly`, ``QSeries``, ``BiOp``)
 work over any such algebra and are themselves algebras, so they nest freely.
 
@@ -77,9 +78,10 @@ class Algebra(ABC):
     def is_zero(self, a: Any) -> bool:
         return a == self.zero
 
-    def from_rational(self, c: int | str | Fraction) -> Any:
-        """Embed a rational as c * one."""
-        return self.scale(rational(c), self.one)
+    def probes(self) -> list:
+        """The standard probe set for extensional checks of linear maps on
+        this algebra; each backend defines its own."""
+        raise TypeError(f"no default probe set for {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,17 @@ class RationalAlgebra(Algebra):
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
+
+
+def json_value(x: Any) -> Any:
+    """Render any kernel value as JSON-compatible data; rationals as strings."""
+    return str(x) if isinstance(x, Fraction) else x.to_json()
+
+
+def max_abs(x: Any) -> Fraction:
+    """A crude exact magnitude: the largest |rational| inside the value.
+    Zero exactly when the value is zero (for canonical backends)."""
+    return abs(x) if isinstance(x, Fraction) else x.max_abs()
 
 
 def algebra_of(x: Any) -> Algebra:
@@ -239,6 +252,12 @@ class TPoly:
         for c in reversed(self.coeffs[:-1]):
             acc = self.alg.scale(t0, acc) + c
         return acc
+
+    def to_json(self) -> dict:
+        return {"t_coeffs": [json_value(c) for c in self.coeffs]}
+
+    def max_abs(self) -> Fraction:
+        return max((max_abs(c) for c in self.coeffs), default=_F0)
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -22,14 +22,13 @@ from typing import List, Optional
 
 from .algebra import rational
 from .diffpoly import DiffPoly
-from .errors import QlaxError
+from .errors import ProblemFileError, QlaxError
 from .laxflow import lax_residual, lax_solve
 from .matrix import convergence_study
 from .psdo import PsdoSymbol, commutator, kdv_pair
 from .problemfile import load_probes, load_problem_file
 from .render import convergence_json, dumps, json_value, residual_report
 from .symops import (
-    default_probes,
     residual_vanishes,
     symmetry2_residual,
     symmetry3_residual,
@@ -137,7 +136,7 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
 
 
 def _symmetry_probes(args: argparse.Namespace, pf) -> list:
-    probes = default_probes(pf.alg)
+    probes = pf.alg.probes()
     probes.append(pf.l0)
     for c in pf.p.coeffs:
         if not pf.alg.is_zero(c) and c not in probes:
@@ -150,8 +149,6 @@ def _symmetry_probes(args: argparse.Namespace, pf) -> list:
 def cmd_symmetry(args: argparse.Namespace) -> int:
     pf = load_problem_file(args.problem, default_n=args.qorder)
     if pf.s0 is None:
-        from .errors import ProblemFileError
-
         raise ProblemFileError("S0", "missing (the symmetry command needs an initial symmetry)")
     prob = pf.lax_problem()
     sol = lax_solve(prob)
@@ -185,8 +182,6 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
 def cmd_convergence(args: argparse.Namespace) -> int:
     pf = load_problem_file(args.problem, default_n=args.qorder)
     if pf.backend != "matrix":
-        from .errors import ProblemFileError
-
         raise ProblemFileError("backend", "the convergence study needs the matrix backend")
     prob = pf.lax_problem()
     ref_n = args.refN if args.refN is not None else prob.n + 6
@@ -212,15 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--qorder", type=int, default=2, metavar="N",
         help="default q-truncation order for problem files without N",
-    )
-    common.add_argument(
-        "--depth", type=int, default=None, metavar="M",
-        help="working precision floor for pseudo-differential composition "
-        "(reserved; the DSL denotes differential operators, which stay exact)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for commands that draw random data (reserved)",
     )
     common.add_argument(
         "--probe-set", metavar="PATH", default=None,

@@ -194,7 +194,7 @@ class DiffPoly:
                 out[m] = value if prev is None else prev + value
         return DiffPoly.of(out)
 
-    def max_abs_coeff(self) -> Fraction:
+    def max_abs(self) -> Fraction:
         return max((abs(c) for _, c in self.terms), default=Fraction(0))
 
     # -- text ----------------------------------------------------------
@@ -218,6 +218,9 @@ class DiffPoly:
                 chunks.append(f" + {body}" if c > 0 else f" - {body}")
         return "".join(chunks)
 
+    def to_json(self) -> str:
+        return self.text()
+
     def __str__(self) -> str:
         return self.text()
 
@@ -238,14 +241,3 @@ class DiffPolyAlgebra(Algebra):
 
     def is_zero(self, a: DiffPoly) -> bool:
         return not a.terms
-
-
-def parse(text: str) -> DiffPoly:
-    """Parse the DSL subset that denotes a differential polynomial.
-
-    Same grammar as operator expressions, except that the derivative symbol
-    ``d`` is not available in this ring and is reported as unbound.
-    """
-    from . import expr
-
-    return expr.parse_diffpoly(text)

@@ -17,10 +17,6 @@ class ValuationError(QlaxError):
     """A series violates the q-valuation precondition of an operation."""
 
 
-class NotAUnit(QlaxError):
-    """The supplied degree-0 inverse does not invert the degree-0 part."""
-
-
 class PrecisionExhausted(QlaxError):
     """A symbol coefficient below the tracked precision floor was requested,
     or a composition with infinitely many orders was attempted without a

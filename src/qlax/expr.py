@@ -287,11 +287,20 @@ def to_diffpoly(node: Node) -> DiffPoly:
 
 
 def parse_operator(text: str) -> PsdoSymbol:
-    return to_operator(parse_expr(text))
+    return _elaborate(text, to_operator)
 
 
 def parse_diffpoly(text: str) -> DiffPoly:
-    return to_diffpoly(parse_expr(text))
+    return _elaborate(text, to_diffpoly)
+
+
+def _elaborate(text: str, to_value):
+    # Parsing and elaboration recurse once per nesting level and once per
+    # binary operator, so deep brackets and long flat sums both end here.
+    try:
+        return to_value(parse_expr(text))
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 1, 1) from None
 
 
 # -- rendering -------------------------------------------------------------

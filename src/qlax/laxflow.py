@@ -127,20 +127,16 @@ class LaxSolution:
     w: QSeries  # the time-ordered exponential
     lq: QSeries  # the conjugated flow W * L0 * W^-1
     pq: QSeries  # the deformed path
-    terms: tuple  # the iterated integrals a_0..a_N of W
     lossy: bool
 
 
 def lax_solve(prob: LaxProblem) -> LaxSolution:
     """Solve the deformed flow by conjugation."""
     pq, lossy = deform(prob.p, prob.n)
-    terms = iterated_integrals(pq)
-    w = terms[0]
-    for a in terms[1:]:
-        w = w + a
+    w = texp(pq)
     l0_series = QSeries.constant(pq.alg, prob.n, TPoly.const(prob.alg, prob.l0))
     lq = w * l0_series * w.invert_unipotent()
-    return LaxSolution(w=w, lq=lq, pq=pq, terms=tuple(terms), lossy=lossy)
+    return LaxSolution(w=w, lq=lq, pq=pq, lossy=lossy)
 
 
 def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:

@@ -174,8 +174,15 @@ class MatrixAlgebra(Algebra):
     def is_zero(self, a: RatMatrix) -> bool:
         return a.entries == self.zero.entries
 
-    def invert(self, a: RatMatrix) -> RatMatrix:
-        return a.invert()
+    def probes(self) -> List[RatMatrix]:
+        """All n*n matrix units, row by row: a spanning set, so extensional
+        equality on them is true equality."""
+        n, one, zero = self.n, Fraction(1), Fraction(0)
+        return [
+            RatMatrix(tuple(tuple(one if (r, c) == (i, j) else zero for c in range(n)) for r in range(n)))
+            for i in range(n)
+            for j in range(n)
+        ]
 
 
 def mat_random(n: int, seed: int, bound: int) -> RatMatrix:

@@ -16,7 +16,8 @@ expressions like "-d^2 + u".  Matrix literals are arrays of arrays of
 strings parsed as exact rationals, so exactness survives serialization
 (plain JSON integers are accepted too; floats are not).  ``S0`` is either
 the string "identity" or a list of [left, right] pairs in the backend's
-literal syntax.
+literal syntax.  ``schema`` is optional but must name this format when
+present, and any other key is rejected.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .symops import BiOp
 from . import expr
 
 PROBLEM_SCHEMA = "qlax/problem/1"
+_PROBLEM_KEYS = ("schema", "backend", "L0", "P", "N", "S0")
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,11 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
     """Validate and elaborate a problem document."""
     if not isinstance(doc, dict):
         raise ProblemFileError("$", "problem file must be a JSON object")
+    if doc.get("schema", PROBLEM_SCHEMA) != PROBLEM_SCHEMA:
+        raise ProblemFileError("schema", f"must be {PROBLEM_SCHEMA!r}, got {doc['schema']!r}")
+    for key in doc:
+        if key not in _PROBLEM_KEYS:
+            raise ProblemFileError(key, "unknown key")
     backend = doc.get("backend")
     if backend not in ("psdo", "matrix"):
         raise ProblemFileError("backend", "must be \"psdo\" or \"matrix\"")
@@ -142,13 +149,21 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
     return ProblemFile(backend=backend, alg=alg, l0=l0, p=p, n=n, s0=s0)
 
 
-def load_problem_file(path: str, default_n: Optional[int] = None) -> ProblemFile:
+def _read_json(path: str, field: str) -> Any:
+    """Parse a JSON file; malformed content is an input error naming ``field``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
-        raise ProblemFileError("$", f"invalid JSON: {e}") from e
-    return load_problem(doc, default_n)
+        raise ProblemFileError(field, f"invalid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ProblemFileError(field, f"not UTF-8 text: {e}") from e
+    except RecursionError:
+        raise ProblemFileError(field, "JSON nested too deeply") from None
+
+
+def load_problem_file(path: str, default_n: Optional[int] = None) -> ProblemFile:
+    return load_problem(_read_json(path, "$"), default_n)
 
 
 def load_probes(path: str, backend: str, alg: Algebra) -> list:
@@ -156,11 +171,7 @@ def load_probes(path: str, backend: str, alg: Algebra) -> list:
 
     Matrix probes must have the size of ``alg``, the problem's algebra.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ProblemFileError("probes", f"invalid JSON: {e}") from e
+    doc = _read_json(path, "probes")
     raw = doc.get("probes") if isinstance(doc, dict) else None
     if not isinstance(raw, list):
         raise ProblemFileError("probes", "file must contain a \"probes\" list")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra, rational
 from .diffpoly import DiffPoly, mono_mul
@@ -147,8 +147,8 @@ class PsdoSymbol:
             return PsdoSymbol((), self.floor)
         return PsdoSymbol(tuple((k, dp.scale(c)) for k, dp in self.terms), self.floor)
 
-    def max_abs_coeff(self) -> Fraction:
-        return max((dp.max_abs_coeff() for _, dp in self.terms), default=Fraction(0))
+    def max_abs(self) -> Fraction:
+        return max((dp.max_abs() for _, dp in self.terms), default=Fraction(0))
 
     # -- text / JSON ----------------------------------------------------
 
@@ -180,6 +180,12 @@ class PsdoAlgebra(Algebra):
 
     def is_zero(self, a: PsdoSymbol) -> bool:
         return not a.terms and a.floor is None
+
+    def probes(self) -> List[PsdoSymbol]:
+        """A small cross-section of orders and coefficients; symmetry
+        commands extend it with the problem's own L0 and P coefficients."""
+        u = DiffPoly.u(0)
+        return [self.one, PsdoSymbol.from_dp(u), PsdoSymbol.xi(1), PsdoSymbol.of({1: u}), PsdoSymbol.xi(2)]
 
 
 def compose(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int] = None) -> PsdoSymbol:
@@ -276,7 +282,3 @@ def kdv_pair() -> KdvPair:
         {3: DiffPoly.const(-4), 1: u.scale(Fraction(6)), 0: u.dx().scale(Fraction(3))}
     )
     return KdvPair(l_op, p_op)
-
-
-def order(a: PsdoSymbol) -> int | float:
-    return a.order()

@@ -15,8 +15,7 @@ valuation >= 1 the sums below terminate after N steps and are exact:
     s**-1   = sum_{i<=N} (1-s)**i            (needs c_0 = 1)
 
 exp and log are mutually inverse bijections between {val >= 1} and
-{c_0 = 1} at every truncation order.  Elements with an invertible degree-0
-part g are inverted through the unipotent case, given g**-1 by the caller.
+{c_0 = 1} at every truncation order.
 
 Coefficients must form a Q-algebra (every backend here does): the i! and
 1/i denominators are exact rationals.
@@ -30,8 +29,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
-from .algebra import Algebra, rational
-from .errors import NotAUnit, TruncationMismatch, ValuationError
+from .algebra import Algebra, json_value, max_abs, rational
+from .errors import TruncationMismatch, ValuationError
 
 
 @dataclass(frozen=True)
@@ -205,18 +204,11 @@ class QSeries:
         one = QSeries.one(self.alg, self.trunc)
         return one._accumulate_powers(y, lambda i: Fraction(1))
 
-    def invert_unit(self, inv0: Any) -> "QSeries":
-        """Two-sided inverse of a series whose q^0 part has inverse inv0.
+    def to_json(self) -> dict:
+        return {"trunc": self.trunc, "coeffs": [json_value(c) for c in self.coeffs]}
 
-        inv0 must invert c_0 on both sides in A; the rest reduces to the
-        unipotent case: (inv0 * s) is unipotent and
-        s^-1 = invert_unipotent(inv0 * s) * inv0.
-        """
-        c0 = self.coeffs[0]
-        if inv0 * c0 != self.alg.one or c0 * inv0 != self.alg.one:
-            raise NotAUnit("inv0 does not invert the q^0 coefficient on both sides")
-        inv0_series = QSeries.constant(self.alg, self.trunc, inv0)
-        return (inv0_series * self).invert_unipotent() * inv0_series
+    def max_abs(self) -> Fraction:
+        return max((max_abs(c) for c in self.coeffs), default=Fraction(0))
 
     def __str__(self) -> str:
         parts = []

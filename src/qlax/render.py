@@ -1,4 +1,4 @@
-"""JSON rendering and magnitude helpers shared by the CLI and reports.
+"""JSON reports shared by the CLI.
 
 Exact values are rendered as strings ("3/7", never floats); floats appear
 only where a report explicitly formats them (the convergence study).
@@ -7,56 +7,10 @@ only where a report explicitly formats them (the convergence study).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
-from .algebra import TPoly
-from .diffpoly import DiffPoly
-from .matrix import ConvergenceReport, RatMatrix
-from .psdo import PsdoSymbol
+from .algebra import json_value, max_abs  # json_value: the CLI renders through this module
 from .qseries import QSeries
-from .symops import BiOp
-
-
-def json_value(x: Any) -> Any:
-    """Render any kernel value as JSON-compatible data."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, DiffPoly):
-        return x.text()
-    if isinstance(x, PsdoSymbol):
-        return x.to_json()
-    if isinstance(x, RatMatrix):
-        return x.to_json()
-    if isinstance(x, TPoly):
-        return {"t_coeffs": [json_value(c) for c in x.coeffs]}
-    if isinstance(x, QSeries):
-        return {"trunc": x.trunc, "coeffs": [json_value(c) for c in x.coeffs]}
-    if isinstance(x, BiOp):
-        return x.to_json()
-    raise TypeError(f"no JSON rendering for {type(x).__name__}")
-
-
-def max_abs(x: Any) -> Fraction:
-    """A crude exact magnitude: the largest |rational| inside the value.
-    Zero exactly when the value is zero (for canonical backends)."""
-    if isinstance(x, Fraction):
-        return abs(x)
-    if isinstance(x, DiffPoly):
-        return x.max_abs_coeff()
-    if isinstance(x, PsdoSymbol):
-        return x.max_abs_coeff()
-    if isinstance(x, RatMatrix):
-        return x.max_abs()
-    if isinstance(x, TPoly):
-        return max((max_abs(c) for c in x.coeffs), default=Fraction(0))
-    if isinstance(x, QSeries):
-        return max((max_abs(c) for c in x.coeffs), default=Fraction(0))
-    if isinstance(x, BiOp):
-        return max(
-            (max(max_abs(l), max_abs(r)) for l, r in x.terms), default=Fraction(0)
-        )
-    raise TypeError(f"no magnitude for {type(x).__name__}")
 
 
 def residual_report(residual: QSeries, lossy: bool = False) -> dict:
@@ -73,7 +27,8 @@ def residual_report(residual: QSeries, lossy: bool = False) -> dict:
     }
 
 
-def convergence_json(report: ConvergenceReport) -> dict:
+def convergence_json(report) -> dict:
+    """The JSON form of a ``matrix.ConvergenceReport``."""
     points = []
     for p in report.points:
         points.append(

@@ -11,8 +11,9 @@ Tensor sums of pairs have no canonical form in general: a relation like
 therefore get structural simplification only (pairs sharing a left or a
 right factor are merged, zero pairs pruned), and every meaningful equality
 statement about them is extensional: apply both sides to a probe set and
-compare in A, where equality is canonical.  ``default_probes`` supplies
-the standard probe sets and callers may extend them.
+compare in A, where equality is canonical.  Each backend's descriptor
+supplies its standard probe set through ``Algebra.probes()`` and callers
+may extend it; this module works over any algebra and imports no backend.
 
 Symmetries of the deformed flow obey the same kind of equation as the flow
 itself, dS/dt = [ad(Pq), S], inside the algebra of t-polynomial BiOps.
@@ -36,14 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from .algebra import Algebra, TPoly, TPolyAlgebra, algebra_of, rational
-from .diffpoly import DiffPoly
+from .algebra import Algebra, TPoly, TPolyAlgebra, algebra_of, json_value, max_abs, rational
 from .errors import TruncationMismatch
 from .laxflow import LaxProblem, LaxSolution, lax_residual, texp
-from .matrix import MatrixAlgebra, RatMatrix
-from .psdo import PsdoAlgebra, PsdoSymbol
 from .qseries import QSeries
 
 
@@ -111,9 +109,10 @@ class BiOp:
         return all(self.apply(x) == other.apply(x) for x in probes)
 
     def to_json(self) -> list:
-        from .render import json_value
-
         return [{"left": json_value(l), "right": json_value(r)} for l, r in self.terms]
+
+    def max_abs(self) -> Fraction:
+        return max((max(max_abs(l), max_abs(r)) for l, r in self.terms), default=Fraction(0))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -318,39 +317,3 @@ def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq:
     talg = sol.lq.alg
     start = mq.map_coeffs(lambda tp: TPoly.const(talg.base, tp.coeff(0)))
     return start == QSeries.constant(talg, prob.n, TPoly.const(talg.base, s0.apply(prob.l0)))
-
-
-def default_probes(alg: Algebra) -> List[Any]:
-    """The standard probe set used for extensional BiOp checks.
-
-    Matrices: all n*n matrix units (a spanning set, so extensional equality
-    is true equality).  Operator symbols: a small cross-section of orders
-    and coefficients; symmetry commands extend it with the problem's own
-    L0 and P coefficients.
-    """
-    if isinstance(alg, MatrixAlgebra):
-        probes = []
-        for i in range(alg.n):
-            for j in range(alg.n):
-                probes.append(
-                    RatMatrix(
-                        tuple(
-                            tuple(
-                                Fraction(1) if (r, c) == (i, j) else Fraction(0)
-                                for c in range(alg.n)
-                            )
-                            for r in range(alg.n)
-                        )
-                    )
-                )
-        return probes
-    if isinstance(alg, PsdoAlgebra):
-        u = DiffPoly.u(0)
-        return [
-            PsdoSymbol.one(),
-            PsdoSymbol.from_dp(u),
-            PsdoSymbol.xi(1),
-            PsdoSymbol.of({1: u}),
-            PsdoSymbol.xi(2),
-        ]
-    raise TypeError(f"no default probe set for {type(alg).__name__}")

@@ -24,9 +24,9 @@ from qlax import (
     TPolyAlgebra,
     commutator,
     convergence_study,
-    default_probes,
     deform,
     exp_ad,
+    iterated_integrals,
     kdv_pair,
     lax_residual,
     lax_solve,
@@ -150,7 +150,7 @@ def test_criterion_4_valuation_grading():
     for _, sol, _ in runs:
         if sol.pq.val() != 1 or sol.lq.val() != 0:
             bad += 1
-        for i, a_i in enumerate(sol.terms):
+        for i, a_i in enumerate(iterated_integrals(sol.pq)):
             if a_i.val() < i:
                 bad += 1
     report(4, bad == 0, "val(Pq) = 1, val(Lq) = 0, val(a_i) >= i on all 100 runs")
@@ -167,7 +167,7 @@ def test_criterion_5_ad_exp_identity():
         e = exp_ad(sol.pq)
         winv = sol.w.invert_unipotent()
         talg = sol.w.alg
-        for x in default_probes(prob.alg):
+        for x in prob.alg.probes():
             conj = sol.w * QSeries.constant(talg, prob.n, TPoly.const(prob.alg, x)) * winv
             if apply_to_probe(e, x) != conj:
                 bad += 1
@@ -198,14 +198,14 @@ def test_criterion_6_symmetry_transport():
         )
         sol = lax_solve(prob)
         sq = transport(s0, sol.pq)
-        if not residual_vanishes(symmetry3_residual(sq, sol.pq), default_probes(alg)):
+        if not residual_vanishes(symmetry3_residual(sq, sol.pq), alg.probes()):
             bad.append((i, "symmetry3"))
         if not transported_solution_check(s0, prob, sol, sq):
             bad.append((i, "transported"))
 
     l_op, p_op = kdv_pair()
     palg = PsdoAlgebra()
-    probes = default_probes(palg) + [l_op, p_op]
+    probes = palg.probes() + [l_op, p_op]
     for n in (1, 2):
         prob = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=n)
         sol = lax_solve(prob)
@@ -257,7 +257,7 @@ def test_criterion_8_negative_controls():
     balg = BiOpAlgebra(m2)
     frozen = QSeries.constant(TPolyAlgebra(balg), prob.n, TPoly.const(balg, s0))
     frozen_detected = not residual_vanishes(
-        symmetry3_residual(frozen, pq), default_probes(m2)
+        symmetry3_residual(frozen, pq), m2.probes()
     )
 
     e12 = RatMatrix.of([[0, 1], [0, 0]])

@@ -115,3 +115,25 @@ def test_fundamental_theorem(p):
 def test_eval_multiplicative_noncommutative(ca, cb, t0):
     p, r = TPoly.of(M2, ca), TPoly.of(M2, cb)
     assert (p * r).eval_at(t0) == p.eval_at(t0) * r.eval_at(t0)
+
+
+def test_element_protocol_nests():
+    from qlax import BiOp, DiffPoly, PsdoSymbol, QSeries
+    from qlax.algebra import json_value, max_abs
+
+    a = RatMatrix.of([[1, "-7/2"], [0, 3]])
+    dp = DiffPoly.u(1).scale(Fraction(-5))
+    sym = PsdoSymbol.from_dp(dp)
+    tp = TPoly.of(M2, [M2.zero, a])
+    series = QSeries.of(TPolyAlgebra(M2), [TPoly.const(M2, M2.one), tp])
+    pair = BiOp.of(M2, [(a, M2.one)])
+    assert json_value(Fraction(-1, 3)) == "-1/3"
+    assert json_value(dp) == "-5*u_1"
+    assert json_value(sym) == {"terms": [{"order": 0, "coeff": "-5*u_1"}], "floor": "exact"}
+    assert json_value(tp) == {"t_coeffs": [[["0", "0"], ["0", "0"]], a.to_json()]}
+    assert json_value(series) == {"trunc": 1, "coeffs": [{"t_coeffs": [M2.one.to_json()]}, json_value(tp)]}
+    assert json_value(pair) == [{"left": a.to_json(), "right": M2.one.to_json()}]
+    assert [max_abs(x) for x in (Fraction(-1, 3), dp, sym, a, tp, series, pair)] == [
+        Fraction(1, 3), 5, 5, Fraction(7, 2), Fraction(7, 2), Fraction(7, 2), Fraction(7, 2),
+    ]
+    assert max_abs(TPoly.of(M2, [])) == 0 and max_abs(BiOp.zero(M2)) == 0

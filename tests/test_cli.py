@@ -184,6 +184,55 @@ def test_problem_file_validation_messages(tmp_path, capsys):
         assert field in err
 
 
+def test_problem_file_schema_and_keys(tmp_path, capsys):
+    base = json.loads((PROBLEMS / "nilpotent2x2_n2.json").read_text())
+    path = tmp_path / "case.json"
+    for doc, field in (({**base, "schema": "qlax/problem/9"}, "'schema'"), ({**base, "Q": 1}, "'Q'")):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "lax-solve", str(path))
+        assert code == 2
+        assert not out
+        assert field in err
+    del base["schema"]
+    path.write_text(json.dumps(base))
+    assert run(capsys, "lax-solve", str(path))[0] == 0
+
+
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"backend": "matrix", "L0": [["\xff"]]}')
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    deep = "(" * 5000 + "u" + ")" * 5000
+    flat = "+".join(["u"] * 3000)
+    psdo = tmp_path / "flat.json"
+    psdo.write_text(json.dumps({"backend": "psdo", "L0": flat, "P": [[0, "d"]], "N": 1}))
+    sym = str(PROBLEMS / "matrix_symmetry_n3.json")
+    cases = [
+        (("lax-solve", str(latin1)), "'$'"),
+        (("lax-solve", str(nested)), "'$'"),
+        (("symmetry", sym, "--probe-set", str(latin1)), "'probes'"),
+        (("symmetry", sym, "--probe-set", str(nested)), "'probes'"),
+        (("commutator", deep, "u"), "nested too deeply"),
+        (("commutator", "u", flat), "nested too deeply"),
+        (("lax-solve", str(psdo)), "'L0'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_depth_and_seed_are_not_options(capsys):
+    for option in ("--depth", "--seed"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["kdv-verify", option, "1"])
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
+
+
 # -- symmetry -----------------------------------------------------------------------
 
 def test_symmetry_matrix(capsys):

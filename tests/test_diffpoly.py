@@ -75,4 +75,3 @@ def test_algebra_contract():
     assert alg.zero.is_zero()
     assert alg.one == DiffPoly.const(1)
     assert alg.scale(Fraction(1, 2), U) == U.scale(Fraction(1, 2))
-    assert alg.from_rational("2/3") == DiffPoly.const(Fraction(2, 3))

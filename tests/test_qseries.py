@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qlax import (
     MatrixAlgebra,
-    NotAUnit,
     QSeries,
     QSeriesAlgebra,
     RatMatrix,
@@ -82,25 +81,6 @@ def test_invert_unipotent_examples():
     s = QSeries.one(M2, 2) + QSeries.term(M2, 2, A, 1)
     expected = QSeries.of(M2, (M2.one, -A, A * A))
     assert s.invert_unipotent() == expected
-
-
-def test_invert_unit_examples():
-    g = RatMatrix.of([[2, 1], [1, 1]])
-    ginv = g.invert()
-    const = QSeries.constant(M2, 2, g)
-    assert const.invert_unit(ginv) == QSeries.constant(M2, 2, ginv)
-    s = const + QSeries.term(M2, 2, A, 1)
-    inv = s.invert_unit(ginv)
-    # first-order perturbation: g^-1 - q g^-1 a g^-1 + O(q^2)
-    assert inv.coeffs[0] == ginv
-    assert inv.coeffs[1] == -(ginv * A * ginv)
-    assert s * inv == QSeries.one(M2, 2)
-    assert inv * s == QSeries.one(M2, 2)
-
-
-def test_invert_unit_rejects_bad_inverse():
-    with pytest.raises(NotAUnit):
-        QSeries.constant(M2, 1, A).invert_unit(B)
 
 
 def test_grading_seeded():

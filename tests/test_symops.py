@@ -23,7 +23,6 @@ from qlax import (
     ad,
     apply_series,
     apply_to_probe,
-    default_probes,
     deform,
     exp_ad,
     kdv_pair,
@@ -41,7 +40,7 @@ from qlax import (
 from conftest import int_stream, rint
 
 M2 = MatrixAlgebra(2)
-UNITS2 = default_probes(M2)
+UNITS2 = M2.probes()
 
 
 def rand_biop(alg, stream, pairs=2, bound=2):
@@ -239,14 +238,14 @@ def test_transport_closed_form_matches_exp_ad_on_matrices():
             s0 = rand_biop(alg, stream)
             while len(s0.terms) != 2:  # skip draws whose pairs merge
                 s0 = rand_biop(alg, stream)
-            assert_closed_form(s0, pq, default_probes(alg))
+            assert_closed_form(s0, pq, alg.probes())
 
 
 def test_transport_closed_form_matches_exp_ad_on_kdv():
     l_op, p_op = kdv_pair()
     palg = PsdoAlgebra()
     one = PsdoSymbol.one()
-    probes = default_probes(palg) + [l_op, p_op]
+    probes = palg.probes() + [l_op, p_op]
     for n in (1, 2, 3):
         pq, _ = deform(TPoly.const(palg, p_op), n)
         for s0 in (BiOp.identity(palg), BiOp.of(palg, [(l_op, one)]), BiOp.of(palg, [(one, l_op)])):
@@ -363,7 +362,7 @@ def test_transported_solution_kdv():
     palg = PsdoAlgebra()
     prob = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=2)
     degenerate = ad(PsdoSymbol.one()) + BiOp.identity(palg)
-    assert degenerate.extensionally_equal(BiOp.identity(palg), default_probes(palg))
+    assert degenerate.extensionally_equal(BiOp.identity(palg), palg.probes())
     assert carries_solutions(degenerate, prob)
     left_mult = BiOp.of(palg, [(l_op, PsdoSymbol.one())])
     assert carries_solutions(left_mult, prob)
@@ -411,9 +410,10 @@ def test_transported_solution_rejects_perturbed_coefficient():
 def test_default_probes_shapes():
     from qlax import RationalAlgebra
 
-    assert len(default_probes(MatrixAlgebra(3))) == 9
-    psdo_probes = default_probes(PsdoAlgebra())
+    assert len(MatrixAlgebra(3).probes()) == 9
+    assert MatrixAlgebra(2).probes()[1] == RatMatrix.of([[0, 1], [0, 0]])
+    psdo_probes = PsdoAlgebra().probes()
     assert PsdoSymbol.one() in psdo_probes
     assert len(psdo_probes) == 5
     with pytest.raises(TypeError):
-        default_probes(RationalAlgebra())
+        RationalAlgebra().probes()
