@@ -14,6 +14,7 @@ from .errors import (
     PrecisionExhausted,
     ProblemFileError,
     QlaxError,
+    ShapeMismatch,
     Singular,
     TruncationMismatch,
     UnboundIdentifier,
@@ -85,6 +86,7 @@ __all__ = [
     "RatMatrix",
     "Rational",
     "RationalAlgebra",
+    "ShapeMismatch",
     "Singular",
     "TPoly",
     "TPolyAlgebra",

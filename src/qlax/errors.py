@@ -13,6 +13,14 @@ class TruncationMismatch(QlaxError):
     """
 
 
+class ShapeMismatch(QlaxError):
+    """Two matrices of different sizes were added or multiplied.
+
+    Pairing entries by position would silently drop the rows and columns
+    one side lacks, so this is a hard error.
+    """
+
+
 class ValuationError(QlaxError):
     """A series violates the q-valuation precondition of an operation."""
 

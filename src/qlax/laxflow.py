@@ -3,14 +3,20 @@
 Scaling time by q turns a path P(t) into Pq(t) = q*P(qt): the coefficient
 of t^k lands at q^(k+1), so Pq has q-valuation >= 1 (exactly 1 when
 P(0) != 0).  That valuation is the whole point: the time-ordered
-exponential
+exponential W, the solution of dW/dt = Pq*W with W(0) = 1, is an exact
+q-truncated t-polynomial.  Read off order by order in q, that equation is
 
-    W = sum_i a_i,   a_0 = 1,   a_i(t) = integral_0^t Pq(s) * a_{i-1}(s) ds
+    w_0 = 1,   w_k(t) = integral_0^t sum_{m=1..k} pq_m(s) * w_{k-m}(s) ds,
 
-has val(a_i) >= i, so only a_0..a_N survive modulo q^(N+1) and W is an
-exact q-truncated t-polynomial satisfying dW/dt = Pq*W and W(0) = 1.  The
-recursion is the ordered-simplex iterated integral, folded one integral at
-a time.
+which ``texp`` evaluates: about deg_t(P) * N t-polynomial products, since
+pq_m vanishes for m > deg_t(P) + 1.  It needs only val(Pq) >= 1, no
+homogeneity in t.  The same W is the sum of the iterated integrals
+
+    a_0 = 1,   a_i(t) = integral_0^t Pq(s) * a_{i-1}(s) ds,
+
+with val(a_i) >= i, so a_0..a_N are exhaustive modulo q^(N+1).
+``iterated_integrals`` keeps that ordered-simplex form, folded one
+integral at a time, as the reference the tests compare ``texp`` against.
 
 The flow with initial value L0 is then the conjugation Lq = W * L0 * W^-1,
 which solves dLq/dt = [Pq, Lq] exactly modulo q^(N+1); ``lax_residual``
@@ -96,17 +102,22 @@ def integrate_series(s: QSeries) -> QSeries:
     return s.map_coeffs(lambda c: c.integrate())
 
 
+def _check_texp_input(pq: QSeries) -> TPolyAlgebra:
+    if pq.val() < 1:
+        raise ValuationError("time-ordered exponential needs q-valuation >= 1")
+    talg = pq.alg
+    if not isinstance(talg, TPolyAlgebra):
+        raise TypeError("time-ordered exponentials need q-series over t-polynomials")
+    return talg
+
+
 def iterated_integrals(pq: QSeries) -> List[QSeries]:
     """The terms a_0..a_N of the time-ordered exponential of pq.
 
     Requires q-valuation >= 1; the grading val(a_i) >= i is what makes the
     list exhaustive modulo q^(N+1).
     """
-    if pq.val() < 1:
-        raise ValuationError("time-ordered exponential needs q-valuation >= 1")
-    talg = pq.alg
-    if not isinstance(talg, TPolyAlgebra):
-        raise TypeError("iterated integrals need q-series over t-polynomials")
+    talg = _check_texp_input(pq)
     terms = [QSeries.one(talg, pq.trunc)]
     for _ in range(pq.trunc):
         terms.append(integrate_series(pq * terms[-1]))
@@ -114,12 +125,19 @@ def iterated_integrals(pq: QSeries) -> List[QSeries]:
 
 
 def texp(pq: QSeries) -> QSeries:
-    """Time-ordered exponential W with dW/dt = pq * W and W(0) = 1."""
-    terms = iterated_integrals(pq)
-    acc = terms[0]
-    for a in terms[1:]:
-        acc = acc + a
-    return acc
+    """Time-ordered exponential W with dW/dt = pq * W and W(0) = 1, by the
+    q-order recurrence w_k = integral_0^t sum_{m=1..k} pq_m * w_{k-m}."""
+    talg = _check_texp_input(pq)
+    is_zero = talg.is_zero
+    p = pq.coeffs
+    w = [talg.one]
+    for k in range(1, pq.trunc + 1):
+        acc = talg.zero
+        for m in range(1, k + 1):
+            if not (is_zero(p[m]) or is_zero(w[k - m])):
+                acc = acc + p[m] * w[k - m]
+        w.append(acc.integrate())
+    return QSeries(talg, tuple(w))
 
 
 @dataclass(frozen=True)

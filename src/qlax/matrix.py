@@ -4,6 +4,14 @@ This is the workhorse for brute-force oracles and randomized checks: every
 generic identity in the kernel can be instantiated here and verified by
 honest matrix arithmetic, including exact inversion.
 
+A matrix is stored as integer numerators over one positive common
+denominator, reduced so that no prime divides the denominator and every
+numerator.  A product is then an integer matrix product followed by one
+gcd reduction, instead of one ``Fraction`` normalisation per entry
+operation; ``entries`` gives the ``Fraction`` view for the elimination
+routines.  Combining matrices of different sizes raises
+:class:`~qlax.errors.ShapeMismatch`.
+
 Randomness is a linear congruential generator with fixed 64-bit constants
 (Knuth's MMIX multiplier 6364136223846793005 and increment
 1442695040888963407), so a seed produces the same matrices on every
@@ -15,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra, rational
-from .errors import Singular
+from .errors import ShapeMismatch, Singular
 from .laxflow import LaxProblem, eval_tq, lax_solve
 
 _LCG_MULT = 6364136223846793005
@@ -34,79 +45,106 @@ def lcg(seed: int) -> Iterator[int]:
         yield state
 
 
+def _canonical(num: Tuple[Tuple[int, ...], ...], den: int) -> "RatMatrix":
+    # Divide out the common factor of den and every numerator; den > 0.
+    if den == 1:
+        return RatMatrix(num, 1)
+    g = gcd(den, *chain.from_iterable(num))
+    if g == 1:
+        return RatMatrix(num, den)
+    return RatMatrix(tuple(tuple(x // g for x in row) for row in num), den // g)
+
+
+def _rational_str(x: int, den: int) -> str:
+    # str(Fraction(x, den)) without building the Fraction.
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 @dataclass(frozen=True)
 class RatMatrix:
-    """An n x n matrix of exact rationals."""
+    """An n x n matrix of exact rationals: entry (i, j) is num[i][j] / den.
 
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    The form is canonical (den > 0 and gcd(den, *num) == 1), so the
+    dataclass ``==`` and ``hash`` are exact equality.  Build matrices with
+    ``of``, ``identity``, ``zeros`` or the ring operations, which keep it.
+    """
+
+    num: Tuple[Tuple[int, ...], ...]
+    den: int = 1
 
     @staticmethod
-    def of(rows: Sequence[Sequence[int | str | Fraction]]) -> "RatMatrix":
-        data = tuple(tuple(rational(x) for x in row) for row in rows)
+    def of(rows: Iterable[Sequence[int | str | Fraction]]) -> "RatMatrix":
+        data = [[rational(x) for x in row] for row in rows]
         if not data or any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square and nonempty")
-        return RatMatrix(data)
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
+        # The least common denominator leaves no factor common to all entries.
+        den = lcm(*(x.denominator for row in data for x in row))
         return RatMatrix(
-            tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
+            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data), den
         )
 
     @staticmethod
+    def identity(n: int) -> "RatMatrix":
+        return RatMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+    @staticmethod
     def zeros(n: int) -> "RatMatrix":
-        return RatMatrix(tuple((Fraction(0),) * n for _ in range(n)))
+        return RatMatrix(tuple((0,) * n for _ in range(n)))
 
     def algebra(self) -> "MatrixAlgebra":
         return MatrixAlgebra(self.n)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.num)
+
+    @property
+    def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The entries as Fraction rows (read-only, built on demand)."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
+    def _check(self, other: "RatMatrix") -> None:
+        if len(self.num) != len(other.num):
+            raise ShapeMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
+        self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.num, other.num))
+            return _canonical(num, da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        num = tuple(
+            tuple(x * fa + y * fb for x, y in zip(ra, rb)) for ra, rb in zip(self.num, other.num)
         )
+        return _canonical(num, da * fa)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return RatMatrix(tuple(tuple(-x for x in row) for row in self.num), self.den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        cols = tuple(zip(*other.entries))
-        zero = Fraction(0)
-        rows = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = None
-                for a, b in zip(row, col):
-                    if a and b:
-                        term = a * b
-                        acc = term if acc is None else acc + term
-                out_row.append(zero if acc is None else acc)
-            rows.append(tuple(out_row))
-        return RatMatrix(tuple(rows))
+        self._check(other)
+        cols = tuple(zip(*other.num))
+        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        return _canonical(num, self.den * other.den)
 
     def scale(self, c: Fraction) -> "RatMatrix":
         c = rational(c)
-        return RatMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
+        p = c.numerator
+        return _canonical(tuple(tuple(p * x for x in row) for row in self.num), self.den * c.denominator)
 
     # -- linear algebra -------------------------------------------------
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
+        return Fraction(sum(self.num[i][i] for i in range(self.n)), self.den)
 
     def det(self) -> Fraction:
         """Exact determinant by fraction-preserving elimination."""
@@ -133,7 +171,8 @@ class RatMatrix:
     def invert(self) -> "RatMatrix":
         """Exact inverse by Gauss-Jordan elimination; raises Singular."""
         n = self.n
-        aug = [list(row) + list(RatMatrix.identity(n).entries[i]) for i, row in enumerate(self.entries)]
+        unit = RatMatrix.identity(n).entries
+        aug = [list(row) + list(unit[i]) for i, row in enumerate(self.entries)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
             if pivot is None:
@@ -147,16 +186,19 @@ class RatMatrix:
                     continue
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return RatMatrix(tuple(tuple(row[n:]) for row in aug))
+        return RatMatrix.of(row[n:] for row in aug)
 
     def max_abs(self) -> Fraction:
-        return max((abs(a) for row in self.entries for a in row), default=Fraction(0))
+        return Fraction(max(abs(x) for row in self.num for x in row), self.den)
 
-    def to_json(self) -> list:
-        return [[str(a) for a in row] for row in self.entries]
+    def to_json(self) -> List[List[str]]:
+        den = self.den
+        if den == 1:
+            return [[str(x) for x in row] for row in self.num]
+        return [[_rational_str(x, den) for x in row] for row in self.num]
 
     def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.entries) + "]"
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in self.to_json()) + "]"
 
 
 @dataclass(frozen=True)
@@ -172,14 +214,14 @@ class MatrixAlgebra(Algebra):
         return RatMatrix.identity(self.n)
 
     def is_zero(self, a: RatMatrix) -> bool:
-        return a.entries == self.zero.entries
+        return not any(map(any, a.num))
 
     def probes(self) -> List[RatMatrix]:
         """All n*n matrix units, row by row: a spanning set, so extensional
         equality on them is true equality."""
-        n, one, zero = self.n, Fraction(1), Fraction(0)
+        n = self.n
         return [
-            RatMatrix(tuple(tuple(one if (r, c) == (i, j) else zero for c in range(n)) for r in range(n)))
+            RatMatrix(tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n)))
             for i in range(n)
             for j in range(n)
         ]
@@ -195,10 +237,7 @@ def mat_random(n: int, seed: int, bound: int) -> RatMatrix:
     stream = lcg(seed)
     span = 2 * bound + 1
     return RatMatrix(
-        tuple(
-            tuple(Fraction(-bound + ((next(stream) >> 33) % span)) for _ in range(n))
-            for _ in range(n)
-        )
+        tuple(tuple(-bound + ((next(stream) >> 33) % span) for _ in range(n)) for _ in range(n))
     )
 
 

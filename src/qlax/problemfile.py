@@ -37,6 +37,8 @@ from . import expr
 
 PROBLEM_SCHEMA = "qlax/problem/1"
 _PROBLEM_KEYS = ("schema", "backend", "L0", "P", "N", "S0")
+PROBES_SCHEMA = "qlax/probes/1"
+_PROBES_KEYS = ("schema", "probes")
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,20 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_header(doc: dict, schema: str, keys: tuple) -> None:
+    """An optional ``schema`` must name the format; no key outside ``keys``."""
+    if doc.get("schema", schema) != schema:
+        raise ProblemFileError("schema", f"must be {schema!r}, got {doc['schema']!r}")
+    for key in doc:
+        if key not in keys:
+            raise ProblemFileError(key, "unknown key")
+
+
 def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
     """Validate and elaborate a problem document."""
     if not isinstance(doc, dict):
         raise ProblemFileError("$", "problem file must be a JSON object")
-    if doc.get("schema", PROBLEM_SCHEMA) != PROBLEM_SCHEMA:
-        raise ProblemFileError("schema", f"must be {PROBLEM_SCHEMA!r}, got {doc['schema']!r}")
-    for key in doc:
-        if key not in _PROBLEM_KEYS:
-            raise ProblemFileError(key, "unknown key")
+    _check_header(doc, PROBLEM_SCHEMA, _PROBLEM_KEYS)
     backend = doc.get("backend")
     if backend not in ("psdo", "matrix"):
         raise ProblemFileError("backend", "must be \"psdo\" or \"matrix\"")
@@ -169,9 +176,13 @@ def load_problem_file(path: str, default_n: Optional[int] = None) -> ProblemFile
 def load_probes(path: str, backend: str, alg: Algebra) -> list:
     """Extra probe elements from a JSON file: {"probes": [entry, ...]}.
 
-    Matrix probes must have the size of ``alg``, the problem's algebra.
+    ``schema`` is optional but must be "qlax/probes/1" when present, and any
+    other key is rejected.  Matrix probes must have the size of ``alg``, the
+    problem's algebra.
     """
     doc = _read_json(path, "probes")
+    if isinstance(doc, dict):
+        _check_header(doc, PROBES_SCHEMA, _PROBES_KEYS)
     raw = doc.get("probes") if isinstance(doc, dict) else None
     if not isinstance(raw, list):
         raise ProblemFileError("probes", "file must contain a \"probes\" list")

@@ -12,10 +12,15 @@ valuation >= 1 the sums below terminate after N steps and are exact:
 
     exp(s)  = sum_{i<=N} s**i / i!          (c_0 becomes 1)
     log(s)  = sum_{1<=i<=N} (-1)**(i+1) (s-1)**i / i   (needs c_0 = 1)
-    s**-1   = sum_{i<=N} (1-s)**i            (needs c_0 = 1)
 
 exp and log are mutually inverse bijections between {val >= 1} and
-{c_0 = 1} at every truncation order.
+{c_0 = 1} at every truncation order.  The inverse of a unipotent s
+(c_0 = 1) is read off s * v = 1 order by order,
+
+    v_0 = 1,   v_k = -sum_{j=1..k} c_j * v_{k-j},
+
+which takes N(N+1)/2 coefficient products; it is a two-sided inverse,
+since a right inverse of a unit is its inverse.
 
 Coefficients must form a Q-algebra (every backend here does): the i! and
 1/i denominators are exact rationals.
@@ -197,12 +202,23 @@ class QSeries:
         return zero._accumulate_powers(x, lambda i: Fraction((-1) ** (i + 1), i))
 
     def invert_unipotent(self) -> "QSeries":
-        """Inverse of 1 + (valuation >= 1) by the finite geometric series."""
-        if self.coeffs[0] != self.alg.one:
+        """Inverse of 1 + (valuation >= 1) by the recurrence
+        v_k = -sum_{j=1..k} c_j * v_{k-j}."""
+        alg = self.alg
+        if self.coeffs[0] != alg.one:
             raise ValuationError("unipotent inversion needs q^0 coefficient equal to 1")
-        y = QSeries.one(self.alg, self.trunc) - self
-        one = QSeries.one(self.alg, self.trunc)
-        return one._accumulate_powers(y, lambda i: Fraction(1))
+        is_zero = alg.is_zero
+        c = self.coeffs
+        v = [alg.one]
+        for k in range(1, self.trunc + 1):
+            acc = None
+            for j in range(1, k + 1):
+                if is_zero(c[j]) or is_zero(v[k - j]):
+                    continue
+                prod = c[j] * v[k - j]
+                acc = prod if acc is None else acc + prod
+            v.append(alg.zero if acc is None else -acc)
+        return QSeries(alg, tuple(v))
 
     def to_json(self) -> dict:
         return {"trunc": self.trunc, "coeffs": [json_value(c) for c in self.coeffs]}

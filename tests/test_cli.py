@@ -294,6 +294,23 @@ def test_symmetry_rejects_missized_probe(tmp_path, capsys):
     assert "probes" in err and "dimension 3" in err
 
 
+def test_probe_set_schema_and_keys(tmp_path, capsys):
+    probes = tmp_path / "probes.json"
+    sym = str(PROBLEMS / "matrix_symmetry_n3.json")
+    for doc, field in (
+        ({"probes": [], "extra": 1, "schema": "qlax/probes/9"}, "'schema'"),
+        ({"probes": [], "extra": 1}, "'extra'"),
+        ({"schema": "qlax/problem/1", "probes": []}, "'schema'"),
+    ):
+        probes.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "symmetry", sym, "--probe-set", str(probes))
+        assert code == 2
+        assert not out
+        assert field in err
+    probes.write_text(json.dumps({"schema": "qlax/probes/1", "probes": []}))
+    assert run(capsys, "symmetry", sym, "--probe-set", str(probes))[0] == 0
+
+
 def test_symmetry_rejects_missized_s0(tmp_path, capsys):
     doc = json.loads((PROBLEMS / "matrix_symmetry_n3.json").read_text())
     doc["S0"] = [[[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], [["1", "0"], ["0", "1"]]]]

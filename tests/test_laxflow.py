@@ -22,10 +22,11 @@ from qlax import (
     lax_residual,
     lax_solve,
     mat_random,
+    parse_operator,
     texp,
 )
 
-from conftest import int_stream
+from conftest import int_stream, rint
 
 M2 = MatrixAlgebra(2)
 NILP = RatMatrix.of([[0, 1], [0, 0]])
@@ -125,6 +126,79 @@ def test_texp_defining_ode():
         assert dt_series(w) == pq * w
         # W starts at the identity
         assert eval_tq(w, 0, Fraction(1, 3)) == w.alg.base.one
+
+
+def sum_of_iterated_integrals(pq: QSeries) -> QSeries:
+    """The reference W: a_0 + ... + a_N."""
+    terms = iterated_integrals(pq)
+    acc = terms[0]
+    for a in terms[1:]:
+        acc = acc + a
+    return acc
+
+
+def test_texp_matches_iterated_integrals_on_matrix_problems():
+    stream = int_stream(31)
+    for n in range(1, 9):
+        for _ in range(2):
+            deg = rint(stream, 0, n - 1)
+            prob = rand_problem(next(stream), n=n, nn=rint(stream, 2, 3), deg=deg)
+            pq, _ = deform(prob.p, prob.n)
+            assert texp(pq) == sum_of_iterated_integrals(pq)
+
+
+def test_texp_matches_iterated_integrals_without_homogeneity():
+    # the recurrence needs only val(pq) >= 1: q-coefficients of any t-degree
+    stream = int_stream(37)
+    talg = TPolyAlgebra(M2)
+    for n in range(1, 7):
+        coeffs = [talg.zero] + [
+            TPoly.of(M2, [mat_random(2, next(stream), 2) for _ in range(rint(stream, 0, 3))])
+            for _ in range(n)
+        ]
+        pq = QSeries.of(talg, coeffs)
+        assert texp(pq) == sum_of_iterated_integrals(pq)
+
+
+def test_texp_matches_iterated_integrals_on_kdv_pairs():
+    l0, p = kdv_pair()
+    palg = PsdoAlgebra()
+    rescaled = parse_operator("(-1/3)*d^3 + (5/4)*(d*u + u*d)")
+    for path, n in (
+        (TPoly.const(palg, p), 3),
+        (TPoly.const(palg, rescaled), 3),
+        (TPoly.of(palg, [rescaled, l0]), 4),
+    ):
+        pq, _ = deform(path, n)
+        assert texp(pq) == sum_of_iterated_integrals(pq)
+
+
+def test_lax_solve_matrix_product_count(monkeypatch):
+    """Operation-count guard for one 3x3 lax_solve at N = 10, deg_t P = d = 2.
+
+    Every q^k coefficient of Pq, W and W^-1 is a single t-monomial, so a
+    t-polynomial product costs one matrix product, and the stages need
+
+        texp:       sum_{k=1..N} min(k, d+1) = (d+1)N - d(d+1)/2  = 27
+        W^-1:       sum_{k=1..N} k           = N(N+1)/2           = 55
+        W*L0*W^-1:  (N+1) + (N+1)(N+2)/2                          = 77
+
+    matrix products, 159 in all.  Summing the iterated integrals and
+    inverting by the geometric series took 343.
+    """
+    n, d = 10, 2
+    bound = (d + 1) * n - d * (d + 1) // 2 + n * (n + 1) // 2 + (n + 1) + (n + 1) * (n + 2) // 2
+    calls = []
+    product = RatMatrix.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    prob = rand_problem(1, n=n, nn=3, deg=d)
+    monkeypatch.setattr(RatMatrix, "__mul__", counting)
+    lax_solve(prob)
+    assert len(calls) <= bound == 159
 
 
 def test_iterated_integral_valuations():

@@ -1,14 +1,17 @@
 """Exact matrices, deterministic randomness, convergence study."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlax import (
     LaxProblem,
     MatrixAlgebra,
     RatMatrix,
+    ShapeMismatch,
     Singular,
     TPoly,
     convergence_study,
@@ -37,6 +40,101 @@ def test_invert_property(m):
     else:
         assert m * m.invert() == RatMatrix.identity(3)
         assert m.invert() * m == RatMatrix.identity(3)
+
+
+# -- the integer-numerator kernel against a Fraction-entry reference ------------
+
+def ref_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def ref_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols) for row in a)
+
+
+def ref_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def ref_json(a):
+    return [[str(x) for x in row] for row in a]
+
+
+def ref_str(a):
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in a) + "]"
+
+
+def ref_max_abs(a):
+    return max(abs(x) for row in a for x in row)
+
+
+def assert_canonical(m):
+    assert m.den > 0
+    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert all(type(x) is int for row in m.num for x in row)
+
+
+# Mixed denominators, so sums and products need a common denominator and a
+# reduction; zero is common enough to hit all-zero matrices.
+mixed_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+@st.composite
+def fraction_rows(draw, n):
+    return tuple(tuple(draw(mixed_fractions) for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(fraction_rows(n), fraction_rows(n))), mixed_fractions)
+def test_kernel_matches_fraction_reference(rows, c):
+    ra, rb = rows
+    a, b = RatMatrix.of(ra), RatMatrix.of(rb)
+    for m, ref in (
+        (a, ra),
+        (a + b, ref_add(ra, rb)),
+        (-a, ref_neg(ra)),
+        (a - b, ref_add(ra, ref_neg(rb))),
+        (a * b, ref_mul(ra, rb)),
+        (b * a, ref_mul(rb, ra)),
+        (a.scale(c), ref_scale(c, ra)),
+    ):
+        assert_canonical(m)
+        assert m.entries == ref
+        assert m == RatMatrix.of(ref) and hash(m) == hash(RatMatrix.of(ref))
+        assert m.to_json() == ref_json(ref)
+        assert str(m) == ref_str(ref)
+        assert m.max_abs() == ref_max_abs(ref)
+    assert (a == b) == (ra == rb)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert MatrixAlgebra(a.n).is_zero(a - a) and (a - a) == RatMatrix.zeros(a.n)
+    assert MatrixAlgebra(a.n).is_zero(a) == all(x == 0 for row in ra for x in row)
+
+
+def test_kernel_examples():
+    m = RatMatrix.of([["1/2", "1/3"], ["0", "-5/6"]])
+    assert (m.num, m.den) == (((3, 2), (0, -5)), 6)
+    assert m.to_json() == [["1/2", "1/3"], ["0", "-5/6"]]
+    assert str(m) == "[[1/2, 1/3], [0, -5/6]]"
+    assert m.max_abs() == Fraction(5, 6)
+    assert m.trace() == Fraction(-1, 3)
+    # a product whose denominators cancel comes back with den 1
+    assert (m.scale(6) * M2.one).den == 1
+    assert RatMatrix.of([["2/4", "-4/8"], ["0", "0"]]) == RatMatrix.of([["1/2", "-1/2"], [0, 0]])
+
+
+def test_shape_mismatch():
+    a, b = RatMatrix.identity(2), RatMatrix.identity(3)
+    for op in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: b - a):
+        with pytest.raises(ShapeMismatch):
+            op()
 
 
 def test_lcg_golden_values():

@@ -117,11 +117,18 @@ def test_exp_inverse_pairing():
 
 
 def test_invert_unipotent_property():
+    # two-sided, up to N = 8, on 2x2 and 3x3 matrices and on symbols
     stream = int_stream(29)
-    for _ in range(10):
-        s = QSeries.one(M2, 4) + rand_matrix_qseries(M2, stream, 4, val_min=1)
-        assert s * s.invert_unipotent() == QSeries.one(M2, 4)
-        assert s.invert_unipotent() * s == QSeries.one(M2, 4)
+    for n in range(1, 9):
+        for alg in (M2, MatrixAlgebra(3)):
+            s = QSeries.one(alg, n) + rand_matrix_qseries(alg, stream, n, val_min=1)
+            assert s * s.invert_unipotent() == QSeries.one(alg, n)
+            assert s.invert_unipotent() * s == QSeries.one(alg, n)
+    for n in range(1, 6):
+        s = rand_psdo_qseries(stream, n, val_min=1)
+        g = QSeries.one(s.alg, n) + s
+        assert g * g.invert_unipotent() == QSeries.one(s.alg, n)
+        assert g.invert_unipotent() * g == QSeries.one(s.alg, n)
 
 
 def test_exp_additive_for_commuting_scalars():
