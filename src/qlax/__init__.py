@@ -7,7 +7,7 @@ deformed equation order by order in q through time-ordered exponentials,
 and verifies the results by recomputing every defining equation exactly.
 """
 
-from .algebra import Algebra, Rational, RationalAlgebra, TPoly, TPolyAlgebra, rational
+from .algebra import Algebra, Rational, RationalAlgebra, TPoly, rational
 from .diffpoly import DiffPoly, DiffPolyAlgebra
 from .errors import (
     ParseError,
@@ -89,7 +89,6 @@ __all__ = [
     "ShapeMismatch",
     "Singular",
     "TPoly",
-    "TPolyAlgebra",
     "TruncationMismatch",
     "UnboundIdentifier",
     "ValuationError",

@@ -1,4 +1,4 @@
-"""Exact scalars, the coefficient-algebra contract, and polynomials in t.
+"""Exact scalars, the coefficient-algebra contract, and input paths in t.
 
 Every scalar in the kernel is a ``fractions.Fraction``: arbitrary precision,
 stored in lowest terms with a positive denominator, so nothing ever rounds.
@@ -8,12 +8,14 @@ rationals.  It only has to supply ``zero``, ``one`` and rational scaling,
 and a backend also supplies its probe set.  The element values themselves
 implement ``+``, unary ``-``, ``*`` (possibly noncommutative), structural
 ``==`` on canonical forms, ``to_json()`` and ``max_abs()``.  The generic
-containers defined here and elsewhere (:class:`TPoly`, ``QSeries``, ``BiOp``)
-work over any such algebra and are themselves algebras, so they nest freely.
+containers ``QSeries`` and ``BiOp`` work over any such algebra and are
+themselves algebras, so a q-series of BiOps over matrices is one more
+instance of the same contract.
 
-Time paths are exact polynomials in t.  That keeps every time derivative and
-every integral from 0 to t exact, which is what the order-by-order identities
-downstream rely on.
+A path P(t) is given as a :class:`TPoly`, an exact polynomial in t.  Once
+deformed it becomes a q-series whose q^k coefficient carries a single,
+fixed power of t (see ``laxflow``), so the kernel never multiplies
+t-polynomials.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Iterable
 
 Rational = Fraction
@@ -160,23 +161,12 @@ class TPoly:
             raise ValueError("t-exponent must be >= 0")
         return TPoly(alg, (alg.zero,) * k + (a,))
 
-    def algebra(self) -> "TPolyAlgebra":
-        return TPolyAlgebra(self.alg)
-
     # -- structure ----------------------------------------------------
 
     @property
     def degree(self) -> int:
         """t-degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Any:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.alg.zero
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     # -- ring operations ----------------------------------------------
 
@@ -191,16 +181,6 @@ class TPoly:
                 continue
             out[k] = c if is_zero(out[k]) else out[k] + c
         return TPoly(self.alg, tuple(out))
-
-    def __neg__(self) -> "TPoly":
-        is_zero = self.alg.is_zero
-        return TPoly(
-            self.alg,
-            tuple(c if is_zero(c) else self.alg.scale(-1, c) for c in self.coeffs),
-        )
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
         """Cauchy product; the left factor of every coefficient product
@@ -219,71 +199,3 @@ class TPoly:
                 out[i + j] = prod if out[i + j] is None else out[i + j] + prod
         zero = self.alg.zero
         return TPoly(self.alg, tuple(zero if c is None else c for c in out))
-
-    def scale(self, c: Fraction) -> "TPoly":
-        is_zero = self.alg.is_zero
-        return TPoly(
-            self.alg,
-            tuple(x if is_zero(x) else self.alg.scale(c, x) for x in self.coeffs),
-        )
-
-    # -- calculus -----------------------------------------------------
-
-    def dt(self) -> "TPoly":
-        """Exact time derivative: t**k maps to k * t**(k-1)."""
-        return TPoly(
-            self.alg,
-            tuple(self.alg.scale(k + 1, c) for k, c in enumerate(self.coeffs[1:])),
-        )
-
-    def integrate(self) -> "TPoly":
-        """Exact integral from 0 to t: t**k maps to t**(k+1) / (k+1)."""
-        out = [self.alg.zero]
-        for k, c in enumerate(self.coeffs):
-            out.append(self.alg.scale(Fraction(1, k + 1), c))
-        return TPoly(self.alg, tuple(out))
-
-    def eval_at(self, t0: int | Fraction) -> Any:
-        """Horner evaluation at a rational time t0."""
-        t0 = rational(t0)
-        if not self.coeffs:
-            return self.alg.zero
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = self.alg.scale(t0, acc) + c
-        return acc
-
-    def to_json(self) -> dict:
-        return {"t_coeffs": [json_value(c) for c in self.coeffs]}
-
-    def max_abs(self) -> Fraction:
-        return max((max_abs(c) for c in self.coeffs), default=_F0)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if self.alg.is_zero(c):
-                continue
-            tpow = "" if k == 0 else ("*t" if k == 1 else f"*t^{k}")
-            parts.append(f"({c}){tpow}")
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class TPolyAlgebra(Algebra):
-    """The algebra of t-polynomials over a base algebra."""
-
-    base: Algebra
-
-    @cached_property
-    def zero(self) -> TPoly:
-        return TPoly(self.base, ())
-
-    @cached_property
-    def one(self) -> TPoly:
-        return TPoly(self.base, (self.base.one,))
-
-    def is_zero(self, a: TPoly) -> bool:
-        return not a.coeffs

@@ -27,7 +27,7 @@ from .laxflow import lax_residual, lax_solve
 from .matrix import convergence_study
 from .psdo import PsdoSymbol, commutator, kdv_pair
 from .problemfile import load_probes, load_problem_file
-from .render import convergence_json, dumps, json_value, residual_report
+from .render import convergence_json, dumps, json_value, residual_report, series_json, series_lines
 from .symops import (
     apply_series,
     residual_vanishes,
@@ -52,13 +52,6 @@ def _resolve_format(args: argparse.Namespace) -> str:
 
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _series_lines(label: str, series) -> List[str]:
-    lines = [f"{label}:"]
-    for k, c in enumerate(series.coeffs):
-        lines.append(f"  q^{k}: {c}")
-    return lines
 
 
 def cmd_commutator(args: argparse.Namespace) -> int:
@@ -110,26 +103,23 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
     prob = pf.lax_problem()
     sol = lax_solve(prob)
     residual = lax_residual(sol.lq, sol.pq)
-    report = residual_report(residual, lossy=sol.lossy)
+    report = residual_report(residual)
     ok = report["zero"]
     if _resolve_format(args) == "json":
         doc = {
             "schema": "qlax/laxsolve-report/1",
             "backend": pf.backend,
             "N": prob.n,
-            "W": json_value(sol.w),
-            "Lq": json_value(sol.lq),
+            "W": series_json(sol.w),
+            "Lq": series_json(sol.lq),
             "residual": report,
         }
         _emit(dumps(doc))
     else:
         lines = [f"backend: {pf.backend}, N = {prob.n}"]
-        lines += _series_lines("W", sol.w)
-        lines += _series_lines("Lq", sol.lq)
-        lines.append(
-            f"residual: {'zero (exact)' if ok else 'NONZERO'}"
-            + (" [lossy deformation]" if sol.lossy else "")
-        )
+        lines += series_lines("W", sol.w)
+        lines += series_lines("Lq", sol.lq)
+        lines.append(f"residual: {'zero (exact)' if ok else 'NONZERO'}")
         lines.append(PASS if ok else FAIL)
         _emit("\n".join(lines))
     return 0 if ok else 1
@@ -187,7 +177,10 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     prob = pf.lax_problem()
     ref_n = args.refN if args.refN is not None else prob.n + 6
     qs = [rational(q) for q in (args.q or ["1/8", "1/16"])]
-    report = convergence_study(prob, qs, ref_n)
+    try:
+        report = convergence_study(prob, qs, ref_n)
+    except ValueError as e:
+        raise QlaxError(f"refN: {e}") from e
     if _resolve_format(args) == "json":
         _emit(dumps(convergence_json(report)))
     else:

@@ -1,16 +1,29 @@
 """Deformation by time scaling and the resulting integrable flow.
 
-Scaling time by q turns a path P(t) into Pq(t) = q*P(qt): the coefficient
-of t^k lands at q^(k+1), so Pq has q-valuation >= 1 (exactly 1 when
-P(0) != 0).  That valuation is the whole point: the time-ordered
-exponential W, the solution of dW/dt = Pq*W with W(0) = 1, is an exact
-q-truncated t-polynomial.  Read off order by order in q, that equation is
+Scaling time by q turns a path P(t) = sum_k p_k t^k into
+Pq(t) = q*P(qt) = sum_k p_k q^(k+1) t^k.  Every q-order of Pq carries a
+single power of t, and so does every series the flow builds from it: the
+time-ordered exponential W and the flow Lq are functions of q*t, and Pq and
+dLq/dt are such a function times q.  A series therefore stores one
+coefficient c_k in A per q-order, and its role fixes an implicit weight w:
+the q^k coefficient stands for c_k * t^(k-w).
 
-    w_0 = 1,   w_k(t) = integral_0^t sum_{m=1..k} pq_m(s) * w_{k-m}(s) ds,
+    weight 0:  W, Lq, exp_ad, a transported symmetry S(t), M = S.Lq
+    weight 1:  Pq, lift_ad(Pq), every residual
 
-which ``texp`` evaluates: about deg_t(P) * N t-polynomial products, since
-pq_m vanishes for m > deg_t(P) + 1.  It needs only val(Pq) >= 1, no
-homogeneity in t.  The same W is the sum of the iterated integrals
+Weights add under products, ``dt_series`` takes weight 0 to 1
+(c_k -> k*c_k) and ``integrate_series`` takes weight 1 back to 0
+(c_k -> c_k/k, the integral from 0 to t).  A weight-1 series has no q^0
+term, which is the valuation val(Pq) >= 1 that makes everything below
+finite.  Only ``render`` expands a coefficient back into its powers of t.
+
+W solves dW/dt = Pq*W with W(0) = 1.  Read off order by order in q, that
+equation is the Taylor-series recurrence
+
+    w_0 = 1,   k * w_k = sum_{m=1..k} pq_m * w_{k-m},
+
+which ``texp`` evaluates: about deg_t(P) * N products, since pq_m vanishes
+for m > deg_t(P) + 1.  The same W is the sum of the iterated integrals
 
     a_0 = 1,   a_i(t) = integral_0^t Pq(s) * a_{i-1}(s) ds,
 
@@ -23,8 +36,7 @@ which solves dLq/dt = [Pq, Lq] exactly modulo q^(N+1); ``lax_residual``
 recomputes that defining equation from scratch so solutions can be checked
 rather than trusted.
 
-Everything here is generic over the coefficient algebra: the working
-algebra is q-series over t-polynomials over A, for A any backend (matrices,
+Everything here is generic over the coefficient algebra A (matrices,
 operator symbols, or tensor pairs of either).
 """
 
@@ -34,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, List, NamedTuple
 
-from .algebra import Algebra, TPoly, TPolyAlgebra, rational
+from .algebra import Algebra, TPoly, rational
 from .errors import TruncationMismatch, ValuationError
 from .qseries import QSeries
 
@@ -66,49 +78,45 @@ class LaxProblem:
 
 
 class DeformResult(NamedTuple):
-    series: QSeries  # over TPolyAlgebra(A)
+    series: QSeries  # weight 1
     lossy: bool
 
 
 def deform(p: TPoly, n: int) -> DeformResult:
-    """Time scaling: the t^k coefficient of P contributes q^(k+1) * t^k.
+    """Time scaling: the t^k coefficient of P lands at q^(k+1).
 
     Terms with k + 1 > n do not fit in the truncation; they are dropped and
     reported through the lossy flag (problem objects rule this out up
     front, the flag covers direct library use).
     """
     base = p.alg
-    talg = TPolyAlgebra(base)
-    coeffs: List[TPoly] = [talg.zero for _ in range(n + 1)]
+    coeffs = [base.zero] * (n + 1)
     lossy = False
-    for k in range(p.degree + 1):
-        c = p.coeff(k)
+    for k, c in enumerate(p.coeffs):
         if base.is_zero(c):
             continue
         if k + 1 > n:
             lossy = True
             continue
-        coeffs[k + 1] = TPoly.t_power(base, c, k)
-    return DeformResult(QSeries(talg, tuple(coeffs)), lossy)
+        coeffs[k + 1] = c
+    return DeformResult(QSeries(base, tuple(coeffs)), lossy)
 
 
 def dt_series(s: QSeries) -> QSeries:
-    """Lift the exact time derivative through the q-coefficients."""
-    return s.map_coeffs(lambda c: c.dt())
+    """The exact time derivative of a weight-0 series, as a weight-1
+    series: c_k t^k maps to k c_k t^(k-1)."""
+    alg = s.alg
+    return QSeries(alg, tuple(alg.scale(k, c) for k, c in enumerate(s.coeffs)))
 
 
 def integrate_series(s: QSeries) -> QSeries:
-    """Lift the exact integral from 0 to t through the q-coefficients."""
-    return s.map_coeffs(lambda c: c.integrate())
-
-
-def _check_texp_input(pq: QSeries) -> TPolyAlgebra:
-    if pq.val() < 1:
-        raise ValuationError("time-ordered exponential needs q-valuation >= 1")
-    talg = pq.alg
-    if not isinstance(talg, TPolyAlgebra):
-        raise TypeError("time-ordered exponentials need q-series over t-polynomials")
-    return talg
+    """The exact integral from 0 to t of a weight-1 series, as a weight-0
+    series: c_k t^(k-1) maps to (c_k / k) t^k."""
+    alg = s.alg
+    if not alg.is_zero(s.coeffs[0]):
+        raise ValuationError("a weight-1 series has no q^0 term")
+    tail = (alg.scale(Fraction(1, k), c) for k, c in enumerate(s.coeffs[1:], 1))
+    return QSeries(alg, (alg.zero, *tail))
 
 
 def iterated_integrals(pq: QSeries) -> List[QSeries]:
@@ -117,8 +125,7 @@ def iterated_integrals(pq: QSeries) -> List[QSeries]:
     Requires q-valuation >= 1; the grading val(a_i) >= i is what makes the
     list exhaustive modulo q^(N+1).
     """
-    talg = _check_texp_input(pq)
-    terms = [QSeries.one(talg, pq.trunc)]
+    terms = [QSeries.one(pq.alg, pq.trunc)]
     for _ in range(pq.trunc):
         terms.append(integrate_series(pq * terms[-1]))
     return terms
@@ -126,18 +133,21 @@ def iterated_integrals(pq: QSeries) -> List[QSeries]:
 
 def texp(pq: QSeries) -> QSeries:
     """Time-ordered exponential W with dW/dt = pq * W and W(0) = 1, by the
-    q-order recurrence w_k = integral_0^t sum_{m=1..k} pq_m * w_{k-m}."""
-    talg = _check_texp_input(pq)
-    is_zero = talg.is_zero
+    recurrence w_k = (1/k) * sum_{m=1..k} pq_m * w_{k-m}."""
+    if pq.val() < 1:
+        raise ValuationError("time-ordered exponential needs q-valuation >= 1")
+    alg = pq.alg
+    is_zero = alg.is_zero
     p = pq.coeffs
-    w = [talg.one]
+    w = [alg.one]
     for k in range(1, pq.trunc + 1):
-        acc = talg.zero
+        acc = None
         for m in range(1, k + 1):
             if not (is_zero(p[m]) or is_zero(w[k - m])):
-                acc = acc + p[m] * w[k - m]
-        w.append(acc.integrate())
-    return QSeries(talg, tuple(w))
+                prod = p[m] * w[k - m]
+                acc = prod if acc is None else acc + prod
+        w.append(alg.zero if acc is None else alg.scale(Fraction(1, k), acc))
+    return QSeries(alg, tuple(w))
 
 
 @dataclass(frozen=True)
@@ -145,16 +155,14 @@ class LaxSolution:
     w: QSeries  # the time-ordered exponential
     lq: QSeries  # the conjugated flow W * L0 * W^-1
     pq: QSeries  # the deformed path
-    lossy: bool
 
 
 def lax_solve(prob: LaxProblem) -> LaxSolution:
     """Solve the deformed flow by conjugation."""
-    pq, lossy = deform(prob.p, prob.n)
+    pq = deform(prob.p, prob.n).series
     w = texp(pq)
-    l0_series = QSeries.constant(pq.alg, prob.n, TPoly.const(prob.alg, prob.l0))
-    lq = w * l0_series * w.invert_unipotent()
-    return LaxSolution(w=w, lq=lq, pq=pq, lossy=lossy)
+    lq = w * QSeries.constant(prob.alg, prob.n, prob.l0) * w.invert_unipotent()
+    return LaxSolution(w=w, lq=lq, pq=pq)
 
 
 def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:
@@ -163,17 +171,17 @@ def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:
         raise TruncationMismatch(
             f"truncation orders differ: {lq.trunc} vs {pq.trunc}"
         )
+    if pq.val() < 1:
+        raise ValuationError("the path of a flow needs q-valuation >= 1")
     return dt_series(lq) - (pq * lq - lq * pq)
 
 
 def eval_tq(s: QSeries, t0: int | Fraction, q0: int | Fraction) -> Any:
-    """Evaluate a q-series of t-polynomials at exact rationals (t0, q0)."""
-    talg = s.alg
-    if not isinstance(talg, TPolyAlgebra):
-        raise TypeError("eval_tq needs a q-series over t-polynomials")
-    base = talg.base
-    t0, q0 = rational(t0), rational(q0)
-    acc = base.zero
+    """Evaluate a weight-0 series at exact rationals (t0, q0): Horner's
+    rule at t0 * q0."""
+    alg = s.alg
+    x = rational(t0) * rational(q0)
+    acc = alg.zero
     for c in reversed(s.coeffs):
-        acc = base.scale(q0, acc) + c.eval_at(t0)
+        acc = alg.scale(x, acc) + c
     return acc

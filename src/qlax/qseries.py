@@ -6,6 +6,13 @@ all N+1 slots are stored (zeros included) and combining series with
 different N raises :class:`~qlax.errors.TruncationMismatch` instead of
 silently re-truncating.
 
+The kernel's series over A are functions of q*t: each q-order carries one
+fixed power of t, set by the series' role.  So a coefficient c_k is an
+element of A, and the q^k term stands for c_k * q^k * t^(k-w) for the
+weight w of the series (0 for W and Lq, 1 for Pq and the residuals; see
+``laxflow``).  Nothing here depends on w: products add weights, and the
+Cauchy product below is the same for every weight.
+
 The grading is what makes the group theory finite: a product of series with
 valuations n and m has valuation at least n + m, so for any s with
 valuation >= 1 the sums below terminate after N steps and are exact:

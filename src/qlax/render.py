@@ -1,28 +1,60 @@
-"""JSON reports shared by the CLI.
+"""JSON and text reports shared by the CLI.
 
 Exact values are rendered as strings ("3/7", never floats); floats appear
 only where a report explicitly formats them (the convergence study).
+
+This is the one place where powers of t appear.  A kernel series stores
+one coefficient c_k per q-order and its role fixes a weight w (0 for W and
+Lq, 1 for residuals; see ``laxflow``): the q^k coefficient stands for
+c_k * t^(k-w), and the reports spell it out as t-coefficients.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, List
 
 from .algebra import json_value, max_abs  # json_value: the CLI renders through this module
 from .qseries import QSeries
 
 
-def residual_report(residual: QSeries, lossy: bool = False) -> dict:
-    """Per q-order, per t-degree magnitudes of a residual series."""
+def t_coeffs(series: QSeries, weight: int) -> List[list]:
+    """Per q-order, the t-coefficients of c_k * t^(k-weight): k - weight
+    zeros followed by c_k, or no entries when c_k is zero."""
+    alg = series.alg
+    return [
+        [] if alg.is_zero(c) else [alg.zero] * (k - weight) + [c]
+        for k, c in enumerate(series.coeffs)
+    ]
+
+
+def series_json(series: QSeries) -> dict:
+    """The JSON form of a weight-0 series such as W or Lq."""
+    rows = t_coeffs(series, 0)
+    return {"trunc": series.trunc, "coeffs": [{"t_coeffs": [json_value(c) for c in row]} for row in rows]}
+
+
+def series_lines(label: str, series: QSeries) -> List[str]:
+    """One text line per q-order of a weight-0 series: "(c)*t^k" or 0."""
+    lines = [f"{label}:"]
+    for k, row in enumerate(t_coeffs(series, 0)):
+        tpow = "" if k == 0 else ("*t" if k == 1 else f"*t^{k}")
+        lines.append(f"  q^{k}: " + (f"({row[-1]}){tpow}" if row else "0"))
+    return lines
+
+
+def residual_report(residual: QSeries) -> dict:
+    """Per q-order, per t-degree magnitudes of a residual series (weight 1)."""
     orders = []
-    for k, tp in enumerate(residual.coeffs):
-        norms = [str(max_abs(c)) for c in tp.coeffs]
-        orders.append({"q_order": k, "max_norm": str(max_abs(tp)), "t_norms": norms})
+    for k, row in enumerate(t_coeffs(residual, 1)):
+        norms = [max_abs(c) for c in row]
+        orders.append(
+            {"q_order": k, "max_norm": str(max(norms, default=0)), "t_norms": [str(x) for x in norms]}
+        )
     return {
         "schema": "qlax/residual/1",
         "zero": residual.is_zero(),
-        "lossy": lossy,
+        "lossy": False,  # kept for the schema: problems reject deg_t(P) > N - 1
         "orders": orders,
     }
 

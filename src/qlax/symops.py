@@ -16,10 +16,11 @@ supplies its standard probe set through ``Algebra.probes()`` and callers
 may extend it; this module works over any algebra and imports no backend.
 
 Symmetries of the deformed flow obey the same kind of equation as the flow
-itself, dS/dt = [ad(Pq), S], inside the algebra of t-polynomial BiOps.
-Its solution is conjugation by the time-ordered exponential W = texp(Pq):
-S(t)X = W S0(W^-1 X W) W^-1.  For S0 = sum_i (l_i, r_i) that is the
-closed form
+itself, dS/dt = [ad(Pq), S], inside the algebra of BiOps; series of BiOps
+follow the weight convention of ``laxflow`` (S has weight 0, lift_ad(Pq)
+and the residuals weight 1).  Its solution is conjugation by the
+time-ordered exponential W = texp(Pq): S(t)X = W S0(W^-1 X W) W^-1.  For
+S0 = sum_i (l_i, r_i) that is the closed form
 
     S(t) = sum_i (W l_i W^-1, W r_i W^-1),
 
@@ -28,7 +29,7 @@ coefficient as the product of the two sides' q-expansions needs; a side
 equal to 1 stays 1.  ``exp_ad``, the time-ordered exponential of the
 lifted path ad(Pq) (the parallel transport of the connection d/dt + ad_Pq),
 stays as the library form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.
-Both residual maps recompute dS/dt - [ad(Pq), S] from ``dt`` and
+Both residual maps recompute dS/dt - [ad(Pq), S] from ``dt_series`` and
 ``lift_ad``, never through W.
 """
 
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from .algebra import Algebra, TPoly, TPolyAlgebra, algebra_of, json_value, max_abs, rational
+from .algebra import Algebra, algebra_of, json_value, max_abs, rational
 from .errors import TruncationMismatch
 from .laxflow import LaxProblem, LaxSolution, lax_residual, texp
 from .qseries import QSeries
@@ -166,18 +167,10 @@ def ad(p: Any, alg: Optional[Algebra] = None) -> BiOp:
 
 
 def lift_ad(pq: QSeries) -> QSeries:
-    """Map every A-coefficient of a q-series of t-polynomials to its inner
-    derivation, giving a q-series of t-polynomials of BiOps."""
-    talg = pq.alg
-    if not isinstance(talg, TPolyAlgebra):
-        raise TypeError("lift_ad needs a q-series over t-polynomials")
-    base = talg.base
-    balg = BiOpAlgebra(base)
-
-    def lift(tp: TPoly) -> TPoly:
-        return TPoly(balg, tuple(ad(c, base) for c in tp.coeffs))
-
-    return pq.map_coeffs(lift, alg=TPolyAlgebra(balg))
+    """Map every coefficient of a q-series over A to its inner derivation,
+    giving a q-series of BiOps of the same weight."""
+    base, balg = pq.alg, BiOpAlgebra(pq.alg)
+    return pq.map_coeffs(lambda c: balg.zero if base.is_zero(c) else ad(c, base), alg=balg)
 
 
 def exp_ad(pq: QSeries) -> QSeries:
@@ -194,40 +187,30 @@ def transport(s0: BiOp, pq: QSeries) -> QSeries:
 
     S(t) = sum_i (W l_i W^-1, W r_i W^-1) for S0 = sum_i (l_i, r_i) and
     W = texp(pq): the unique solution of dS/dt = [ad(Pq), S] with
-    S(0) = s0, modulo q^(N+1).  The (q^k, t^m) coefficient pairs the
-    (q^k1, t^m1) coefficient of a left side with the (q^(k-k1), t^(m-m1))
-    coefficient of its right side.  For a path from ``deform`` the q^k
-    coefficient of W is homogeneous of t-degree k, so that is at most
-    len(s0.terms) * (k+1) pairs.
+    S(0) = s0, modulo q^(N+1).  The q^k coefficient pairs the q^k1
+    coefficient of a left side with the q^(k-k1) coefficient of its right
+    side, so it has at most len(s0.terms) * (k+1) pairs.
     """
     base = s0.alg
-    talg = pq.alg
     n = pq.trunc
     sides = dict.fromkeys(x for pair in s0.terms for x in pair if x != base.one)
-    conj = {base.one: QSeries.one(talg, n)}
+    conj = {base.one: QSeries.one(base, n)}
     if sides:
         w = texp(pq)
         winv = w.invert_unipotent()
         for x in sides:
-            conj[x] = w * QSeries.constant(talg, n, TPoly.const(base, x)) * winv
-    # Per side and q-order, the nonzero (t-degree, coefficient) entries.
-    nonzero = {
-        x: [[(m, c) for m, c in enumerate(tp.coeffs) if not base.is_zero(c)] for tp in series.coeffs]
-        for x, series in conj.items()
-    }
-    balg = BiOpAlgebra(base)
+            conj[x] = w * QSeries.constant(base, n, x) * winv
+    is_zero = base.is_zero
     out = []
     for k in range(n + 1):
-        by_t: dict[int, list] = {}
+        pairs = []
         for left, right in s0.terms:
-            ls, rs = nonzero[left], nonzero[right]
+            ls, rs = conj[left].coeffs, conj[right].coeffs
             for k1 in range(k + 1):
-                for m1, l in ls[k1]:
-                    for m2, r in rs[k - k1]:
-                        by_t.setdefault(m1 + m2, []).append((l, r))
-        top = max(by_t, default=-1)
-        out.append(TPoly(balg, tuple(BiOp.of(base, by_t.get(m, [])) for m in range(top + 1))))
-    return QSeries(TPolyAlgebra(balg), tuple(out))
+                if not (is_zero(ls[k1]) or is_zero(rs[k - k1])):
+                    pairs.append((ls[k1], rs[k - k1]))
+        out.append(BiOp.of(base, pairs))
+    return QSeries(BiOpAlgebra(base), tuple(out))
 
 
 def symmetry3_residual(sq: QSeries, pq: QSeries) -> QSeries:
@@ -237,41 +220,23 @@ def symmetry3_residual(sq: QSeries, pq: QSeries) -> QSeries:
 
 
 def apply_series(sq: QSeries, xq: QSeries) -> QSeries:
-    """Apply a q/t-series of BiOps to a q/t-series of A-elements,
-    bilinearly in both gradings."""
+    """Apply a q-series of BiOps to a q-series of A-elements: the Cauchy
+    product with the BiOp action as multiplication (the weights add)."""
     if sq.trunc != xq.trunc:
         raise TruncationMismatch(
             f"truncation orders differ: {sq.trunc} vs {xq.trunc}"
         )
-    s_talg = sq.alg
-    x_talg = xq.alg
-    if not isinstance(s_talg, TPolyAlgebra) or not isinstance(x_talg, TPolyAlgebra):
-        raise TypeError("apply_series needs q-series over t-polynomials")
-    base = x_talg.base
+    alg = xq.alg
     n = sq.trunc
-    out = [x_talg.zero] * (n + 1)
-    for i, st in enumerate(sq.coeffs):
-        if st.is_zero():
-            continue
-        for j in range(n + 1 - i):
-            xt = xq.coeffs[j]
-            if xt.is_zero():
-                continue
-            out[i + j] = out[i + j] + _apply_tpoly(base, st, xt)
-    return QSeries(x_talg, tuple(out))
-
-
-def _apply_tpoly(base: Algebra, st: TPoly, xt: TPoly) -> TPoly:
-    # t-convolution where "multiplication" is the BiOp action on A.
-    out = [base.zero] * (len(st.coeffs) + len(xt.coeffs) - 1) if st.coeffs and xt.coeffs else []
-    for a, bop in enumerate(st.coeffs):
+    out = [alg.zero] * (n + 1)
+    for i, bop in enumerate(sq.coeffs):
         if bop.is_zero():
             continue
-        for b, x in enumerate(xt.coeffs):
-            if base.is_zero(x):
-                continue
-            out[a + b] = out[a + b] + bop.apply(x)
-    return TPoly(base, tuple(out))
+        for j in range(n + 1 - i):
+            x = xq.coeffs[j]
+            if not alg.is_zero(x):
+                out[i + j] = out[i + j] + bop.apply(x)
+    return QSeries(alg, tuple(out))
 
 
 def symmetry2_residual(sq: QSeries, pq: QSeries, lq: QSeries) -> QSeries:
@@ -285,15 +250,9 @@ def symmetry2_residual(sq: QSeries, pq: QSeries, lq: QSeries) -> QSeries:
 
 
 def apply_to_probe(sq: QSeries, x: Any) -> QSeries:
-    """Apply every BiOp coefficient of a q/t-series to a fixed probe."""
-    talg = sq.alg
-    if not isinstance(talg, TPolyAlgebra) or not isinstance(talg.base, BiOpAlgebra):
-        raise TypeError("apply_to_probe needs a q/t-series of BiOps")
-    base = talg.base.base
-    return sq.map_coeffs(
-        lambda tp: TPoly(base, tuple(b.apply(x) for b in tp.coeffs)),
-        alg=TPolyAlgebra(base),
-    )
+    """Apply every BiOp coefficient of a q-series to a fixed probe."""
+    base = sq.alg.base
+    return sq.map_coeffs(lambda bop: bop.apply(x) if bop.terms else base.zero, alg=base)
 
 
 def residual_vanishes(residual: QSeries, probes: Sequence[Any]) -> bool:
@@ -306,14 +265,13 @@ def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq:
 
     ``sol`` solves ``prob`` and ``sq`` is the transport of ``s0`` along
     ``sol.pq``.  Checks that M = S(t).Lq(t) satisfies the deformed flow
-    equation and that M(t=0) is the constant series S0(L0).  Modulo
-    q^(N+1) the flow from a given initial value is unique (each q-order is
-    the integral from 0 of lower orders), so this says M is the conjugation
-    solution started at S0(L0), without solving for it.
+    equation and that M(t=0), the q^0 coefficient of the weight-0 series
+    M, is S0(L0).  Modulo q^(N+1) the flow from a given initial value is
+    unique (each q-order is the integral from 0 of lower orders), so this
+    says M is the conjugation solution started at S0(L0), without solving
+    for it.
     """
     mq = apply_series(sq, sol.lq)
     if not lax_residual(mq, sol.pq).is_zero():
         return False
-    talg = sol.lq.alg
-    start = mq.map_coeffs(lambda tp: TPoly.const(talg.base, tp.coeff(0)))
-    return start == QSeries.constant(talg, prob.n, TPoly.const(talg.base, s0.apply(prob.l0)))
+    return mq.coeffs[0] == s0.apply(prob.l0)

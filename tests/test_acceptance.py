@@ -21,7 +21,6 @@ from qlax import (
     PsdoSymbol,
     QSeries,
     TPoly,
-    TPolyAlgebra,
     commutator,
     convergence_study,
     deform,
@@ -166,9 +165,8 @@ def test_criterion_5_ad_exp_identity():
     for prob, sol, _ in runs:
         e = exp_ad(sol.pq)
         winv = sol.w.invert_unipotent()
-        talg = sol.w.alg
         for x in prob.alg.probes():
-            conj = sol.w * QSeries.constant(talg, prob.n, TPoly.const(prob.alg, x)) * winv
+            conj = sol.w * QSeries.constant(prob.alg, prob.n, x) * winv
             if apply_to_probe(e, x) != conj:
                 bad += 1
     report(5, bad == 0, "exp_ad action equals W X W^-1 on all probes, all 100 runs")
@@ -255,7 +253,7 @@ def test_criterion_8_negative_controls():
     pq, _ = deform(prob.p, prob.n)
     s0 = BiOp.of(m2, [(RatMatrix.of([[0, 1], [0, 0]]), m2.one)])
     balg = BiOpAlgebra(m2)
-    frozen = QSeries.constant(TPolyAlgebra(balg), prob.n, TPoly.const(balg, s0))
+    frozen = QSeries.constant(balg, prob.n, s0)
     frozen_detected = not residual_vanishes(
         symmetry3_residual(frozen, pq), m2.probes()
     )

@@ -1,4 +1,7 @@
-"""Scalars and t-polynomials."""
+"""Scalars, t-polynomials, and the t-calculus of weighted q-series.
+
+A q-series of weight w stands for sum_k c_k q^k t^(k-w) (see laxflow).
+"""
 
 from fractions import Fraction
 
@@ -6,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlax import MatrixAlgebra, RatMatrix, RationalAlgebra, TPoly, TPolyAlgebra, rational
+from qlax import (
+    MatrixAlgebra,
+    QSeries,
+    RatMatrix,
+    RationalAlgebra,
+    TPoly,
+    ValuationError,
+    dt_series,
+    eval_tq,
+    integrate_series,
+    rational,
+)
 
 from conftest import matrices, small_fractions
 
@@ -38,7 +52,7 @@ def rat_poly(*coeffs) -> TPoly:
 
 def test_canonical_strips_trailing_zeros():
     assert TPoly.of(RAT, [Fraction(1), Fraction(0), Fraction(0)]) == rat_poly(1)
-    assert TPoly.of(RAT, [Fraction(0)]) == TPolyAlgebra(RAT).zero
+    assert TPoly.of(RAT, [Fraction(0)]) == TPoly.of(RAT, [])
     assert rat_poly().degree == -1
 
 
@@ -46,7 +60,7 @@ def test_mul_identity_and_single_term():
     a = RatMatrix.of([[0, 1], [0, 0]])
     b = RatMatrix.of([[0, 0], [1, 0]])
     p = TPoly.of(M2, [M2.one, a])  # 1 + t*a
-    assert p * TPolyAlgebra(M2).one == p
+    assert p * TPoly.const(M2, M2.one) == p
     ta = TPoly.t_power(M2, a, 1)
     tb = TPoly.t_power(M2, b, 1)
     assert ta * tb == TPoly.t_power(M2, a * b, 2)
@@ -60,29 +74,35 @@ def test_mul_commutative_sanity():
 
 
 def test_dt_examples():
+    # weight 0 in, weight 1 out: the q^k coefficient goes from t^k to t^(k-1)
     a = RatMatrix.of([[1, 2], [3, 4]])
     b = RatMatrix.of([[0, 1], [1, 0]])
-    assert TPoly.const(M2, a).dt() == TPolyAlgebra(M2).zero
-    assert TPoly.t_power(M2, a, 2).dt() == TPoly.t_power(M2, a.scale(2), 1)
-    p = TPoly.of(M2, [M2.one, a, b])
-    assert p.dt() == TPoly.of(M2, [a, b.scale(2)])
+    assert dt_series(QSeries.constant(M2, 2, a)) == QSeries.zero(M2, 2)  # a
+    assert dt_series(QSeries.term(M2, 2, a, 2)) == QSeries.term(M2, 2, a.scale(2), 2)  # a q^2 t^2
+    p = QSeries.of(M2, [M2.one, a, b])  # 1 + a q t + b q^2 t^2
+    assert dt_series(p) == QSeries.of(M2, [M2.zero, a, b.scale(2)])
 
 
 def test_integrate_examples():
+    # weight 1 in, weight 0 out: the integral from 0 to t
     a = RatMatrix.of([[1, 2], [3, 4]])
-    assert TPolyAlgebra(M2).zero.integrate() == TPolyAlgebra(M2).zero
-    assert TPoly.const(M2, a).integrate() == TPoly.t_power(M2, a, 1)
-    assert TPoly.t_power(M2, a, 1).integrate() == TPoly.t_power(
-        M2, a.scale(Fraction(1, 2)), 2
+    assert integrate_series(QSeries.zero(M2, 2)) == QSeries.zero(M2, 2)
+    assert integrate_series(QSeries.term(M2, 2, a, 1)) == QSeries.term(M2, 2, a, 1)  # a q -> a q t
+    assert integrate_series(QSeries.term(M2, 2, a, 2)) == QSeries.term(  # a q^2 t -> a q^2 t^2 / 2
+        M2, 2, a.scale(Fraction(1, 2)), 2
     )
+    with pytest.raises(ValuationError):
+        integrate_series(QSeries.constant(M2, 2, a))  # a / t has no polynomial integral
 
 
 def test_eval_examples():
     a = RatMatrix.of([[1, 2], [3, 4]])
     b = RatMatrix.of([[0, 1], [1, 0]])
-    assert TPoly.of(M2, [M2.one, a]).eval_at(0) == M2.one
-    assert TPoly.t_power(M2, a, 2).eval_at(2) == a.scale(4)
-    assert TPoly.of(M2, [a, b]).eval_at(Fraction(1, 2)) == a + b.scale(Fraction(1, 2))
+    assert eval_tq(QSeries.of(M2, [M2.one, a]), 0, 1) == M2.one
+    assert eval_tq(QSeries.term(M2, 2, a, 2), 2, 1) == a.scale(4)
+    assert eval_tq(QSeries.of(M2, [a, b]), Fraction(1, 2), 1) == a + b.scale(Fraction(1, 2))
+    # a weight-0 series depends on q*t only
+    assert eval_tq(QSeries.of(M2, [a, b]), 3, Fraction(1, 6)) == a + b.scale(Fraction(1, 2))
 
 
 rat_polys = st.lists(small_fractions, max_size=5).map(lambda cs: TPoly.of(RAT, cs))
@@ -104,36 +124,49 @@ def test_mul_associative_matrix(ca, cb, cc):
     assert p * (r * s) == (p * r) * s
 
 
-@given(rat_polys)
-def test_fundamental_theorem(p):
-    assert p.integrate().dt() == p
-    assert p.dt().integrate() == p - TPoly.const(RAT, p.eval_at(0))
+@given(st.lists(small_fractions, min_size=1, max_size=5))
+def test_fundamental_theorem(cs):
+    s = QSeries.of(RAT, [Fraction(0)] + cs)  # weight 1
+    assert dt_series(integrate_series(s)) == s
+    p = QSeries.of(RAT, cs)  # weight 0
+    assert integrate_series(dt_series(p)) == p - QSeries.constant(RAT, p.trunc, eval_tq(p, 0, 1))
+
+
+def padded(cs, n):
+    return QSeries.of(M2, list(cs) + [M2.zero] * (n + 1 - len(cs)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(matrices(), max_size=4), st.lists(matrices(), max_size=4), small_fractions)
 def test_eval_multiplicative_noncommutative(ca, cb, t0):
-    p, r = TPoly.of(M2, ca), TPoly.of(M2, cb)
-    assert (p * r).eval_at(t0) == p.eval_at(t0) * r.eval_at(t0)
+    # at truncation order 6 the product of two series of length <= 4 is exact
+    p, r = padded(ca, 6), padded(cb, 6)
+    assert eval_tq(p * r, t0, 1) == eval_tq(p, t0, 1) * eval_tq(r, t0, 1)
 
 
 def test_element_protocol_nests():
-    from qlax import BiOp, DiffPoly, PsdoSymbol, QSeries
+    from qlax import BiOp, BiOpAlgebra, DiffPoly, PsdoSymbol
     from qlax.algebra import json_value, max_abs
+    from qlax.render import series_json
 
     a = RatMatrix.of([[1, "-7/2"], [0, 3]])
     dp = DiffPoly.u(1).scale(Fraction(-5))
     sym = PsdoSymbol.from_dp(dp)
-    tp = TPoly.of(M2, [M2.zero, a])
-    series = QSeries.of(TPolyAlgebra(M2), [TPoly.const(M2, M2.one), tp])
+    series = QSeries.of(M2, [M2.one, a])
     pair = BiOp.of(M2, [(a, M2.one)])
     assert json_value(Fraction(-1, 3)) == "-1/3"
     assert json_value(dp) == "-5*u_1"
     assert json_value(sym) == {"terms": [{"order": 0, "coeff": "-5*u_1"}], "floor": "exact"}
-    assert json_value(tp) == {"t_coeffs": [[["0", "0"], ["0", "0"]], a.to_json()]}
-    assert json_value(series) == {"trunc": 1, "coeffs": [{"t_coeffs": [M2.one.to_json()]}, json_value(tp)]}
+    assert json_value(series) == {"trunc": 1, "coeffs": [M2.one.to_json(), a.to_json()]}
+    # only render spells out the powers of t: 1 + a*q*t
+    assert series_json(series) == {
+        "trunc": 1,
+        "coeffs": [{"t_coeffs": [M2.one.to_json()]}, {"t_coeffs": [[["0", "0"], ["0", "0"]], a.to_json()]}],
+    }
     assert json_value(pair) == [{"left": a.to_json(), "right": M2.one.to_json()}]
-    assert [max_abs(x) for x in (Fraction(-1, 3), dp, sym, a, tp, series, pair)] == [
+    nested = QSeries.of(BiOpAlgebra(M2), [pair])
+    assert json_value(nested) == {"trunc": 0, "coeffs": [json_value(pair)]}
+    assert [max_abs(x) for x in (Fraction(-1, 3), dp, sym, a, series, pair, nested)] == [
         Fraction(1, 3), 5, 5, Fraction(7, 2), Fraction(7, 2), Fraction(7, 2), Fraction(7, 2),
     ]
-    assert max_abs(TPoly.of(M2, [])) == 0 and max_abs(BiOp.zero(M2)) == 0
+    assert max_abs(QSeries.zero(M2, 1)) == 0 and max_abs(BiOp.zero(M2)) == 0

@@ -208,6 +208,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
     psdo = tmp_path / "flat.json"
     psdo.write_text(json.dumps({"backend": "psdo", "L0": flat, "P": [[0, "d"]], "N": 1}))
     sym = str(PROBLEMS / "matrix_symmetry_n3.json")
+    mat = str(PROBLEMS / "matrix3x3_n2.json")
     cases = [
         (("lax-solve", str(latin1)), "'$'"),
         (("lax-solve", str(nested)), "'$'"),
@@ -216,6 +217,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
         (("commutator", deep, "u"), "nested too deeply"),
         (("commutator", "u", flat), "nested too deeply"),
         (("lax-solve", str(psdo)), "'L0'"),
+        (("convergence", mat, "--refN", "3"), "refN"),
+        (("convergence", mat, "--refN", "-5"), "refN"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -9,10 +9,10 @@ from qlax import (
     MatrixAlgebra,
     PsdoAlgebra,
     QSeries,
+    QSeriesAlgebra,
     RatMatrix,
     RationalAlgebra,
     TPoly,
-    TPolyAlgebra,
     TruncationMismatch,
     deform,
     lax_residual,
@@ -58,7 +58,7 @@ def test_jet_index_must_be_nonnegative():
 def test_algebra_of_dispatch():
     assert algebra_of(Fraction(1, 2)) == RationalAlgebra()
     assert algebra_of(M2.one) == M2
-    assert algebra_of(TPoly.const(M2, M2.one)) == TPolyAlgebra(M2)
+    assert algebra_of(QSeries.one(M2, 2)) == QSeriesAlgebra(M2, 2)
     assert algebra_of(BiOp.identity(M2)) == BiOpAlgebra(M2)
     assert algebra_of(PsdoAlgebra().one) == PsdoAlgebra()
     with pytest.raises(TypeError):
@@ -68,10 +68,10 @@ def test_algebra_of_dispatch():
 def test_series_mismatch_surfaces_in_flows():
     pq2, _ = deform(TPoly.const(M2, RatMatrix.of([[0, 1], [0, 0]])), 2)
     pq3, _ = deform(TPoly.const(M2, RatMatrix.of([[0, 1], [0, 0]])), 3)
-    lq = QSeries.constant(pq3.alg, 3, TPoly.const(M2, M2.one))
+    lq = QSeries.constant(M2, 3, M2.one)
     with pytest.raises(TruncationMismatch):
         lax_residual(lq, pq2)
     balg = BiOpAlgebra(M2)
-    sq = QSeries.one(TPolyAlgebra(balg), 2)
+    sq = QSeries.one(balg, 2)
     with pytest.raises(TruncationMismatch):
         apply_series(sq, lq)

@@ -11,7 +11,6 @@ from qlax import (
     QSeries,
     RatMatrix,
     TPoly,
-    TPolyAlgebra,
     ValuationError,
     commutator,
     deform,
@@ -63,8 +62,8 @@ def test_deform_constant():
     pq, lossy = deform(TPoly.const(M2, NILP), 3)
     assert not lossy
     assert pq.val() == 1
-    assert pq.coeffs[1] == TPoly.const(M2, NILP)
-    assert pq.coeffs[2].is_zero()
+    assert pq.coeffs[1] == NILP
+    assert M2.is_zero(pq.coeffs[2])
 
 
 def test_deform_linear_term_lands_at_q2():
@@ -72,8 +71,8 @@ def test_deform_linear_term_lands_at_q2():
     p = TPoly.of(M2, [a, b])  # a + t*b
     pq, lossy = deform(p, 2)
     assert not lossy
-    assert pq.coeffs[1] == TPoly.const(M2, a)
-    assert pq.coeffs[2] == TPoly.t_power(M2, b, 1)
+    assert pq.coeffs[1] == a  # a at q^1 t^0
+    assert pq.coeffs[2] == b  # b at q^2 t^1
 
 
 def test_deform_truncation_boundary_is_lossy():
@@ -85,8 +84,7 @@ def test_deform_truncation_boundary_is_lossy():
 # -- texp ---------------------------------------------------------------------
 
 def test_texp_of_zero():
-    talg = TPolyAlgebra(M2)
-    assert texp(QSeries.zero(talg, 3)) == QSeries.one(talg, 3)
+    assert texp(QSeries.zero(M2, 3)) == QSeries.one(M2, 3)
 
 
 def test_texp_time_independent_is_ordinary_exponential():
@@ -97,7 +95,7 @@ def test_texp_time_independent_is_ordinary_exponential():
     fact = 1
     power = M2.one
     for i in range(5):
-        assert w.coeffs[i] == TPoly.t_power(M2, power.scale(Fraction(1, fact)), i)
+        assert w.coeffs[i] == power.scale(Fraction(1, fact))
         power = power * a
         fact *= i + 1
 
@@ -106,16 +104,16 @@ def test_texp_nilpotent_matches_matrix_exponential():
     # oracle: exp of the nilpotent path q*t*P is 1 + q*t*P, exactly
     pq, _ = deform(TPoly.const(M2, NILP), 3)
     w = texp(pq)
-    talg = TPolyAlgebra(M2)
-    expected = QSeries.one(talg, 3) + QSeries.term(talg, 3, TPoly.t_power(M2, NILP, 1), 1)
+    expected = QSeries.one(M2, 3) + QSeries.term(M2, 3, NILP, 1)
     assert w == expected
 
 
 def test_texp_rejects_valuation_zero():
-    talg = TPolyAlgebra(M2)
-    bad = QSeries.constant(talg, 2, TPoly.const(M2, NILP))
+    bad = QSeries.constant(M2, 2, NILP)
     with pytest.raises(ValuationError):
         texp(bad)
+    with pytest.raises(ValuationError):
+        lax_residual(QSeries.one(M2, 2), bad)
 
 
 def test_texp_defining_ode():
@@ -125,7 +123,7 @@ def test_texp_defining_ode():
         w = texp(pq)
         assert dt_series(w) == pq * w
         # W starts at the identity
-        assert eval_tq(w, 0, Fraction(1, 3)) == w.alg.base.one
+        assert eval_tq(w, 0, Fraction(1, 3)) == w.alg.one
 
 
 def sum_of_iterated_integrals(pq: QSeries) -> QSeries:
@@ -148,15 +146,15 @@ def test_texp_matches_iterated_integrals_on_matrix_problems():
 
 
 def test_texp_matches_iterated_integrals_without_homogeneity():
-    # the recurrence needs only val(pq) >= 1: q-coefficients of any t-degree
+    # the recurrence needs only val(pq) >= 1: any coefficients at q^1..q^N,
+    # zeros among them, not only the paths deform builds
     stream = int_stream(37)
-    talg = TPolyAlgebra(M2)
     for n in range(1, 7):
-        coeffs = [talg.zero] + [
-            TPoly.of(M2, [mat_random(2, next(stream), 2) for _ in range(rint(stream, 0, 3))])
+        coeffs = [M2.zero] + [
+            mat_random(2, next(stream), 2) if rint(stream, 0, 3) else M2.zero
             for _ in range(n)
         ]
-        pq = QSeries.of(talg, coeffs)
+        pq = QSeries.of(M2, coeffs)
         assert texp(pq) == sum_of_iterated_integrals(pq)
 
 
@@ -223,19 +221,19 @@ def test_second_iterated_integral_hand_oracle():
     b = RatMatrix.of([[0, 0], [1, 0]])
     pq, _ = deform(TPoly.of(M2, [a, b]), 4)
     a_2 = iterated_integrals(pq)[2]
-    assert a_2.coeffs[0].is_zero() and a_2.coeffs[1].is_zero()
-    assert a_2.coeffs[2] == TPoly.t_power(M2, (a * a).scale(Fraction(1, 2)), 2)
+    assert M2.is_zero(a_2.coeffs[0]) and M2.is_zero(a_2.coeffs[1])
+    assert a_2.coeffs[2] == (a * a).scale(Fraction(1, 2))
     expected_q3 = (a * b).scale(Fraction(1, 6)) + (b * a).scale(Fraction(1, 3))
-    assert a_2.coeffs[3] == TPoly.t_power(M2, expected_q3, 3)
-    assert a_2.coeffs[4] == TPoly.t_power(M2, (b * b).scale(Fraction(1, 8)), 4)
+    assert a_2.coeffs[3] == expected_q3
+    assert a_2.coeffs[4] == (b * b).scale(Fraction(1, 8))
 
 
 # -- lax_solve ------------------------------------------------------------------
 
 def test_solve_zero_path():
-    prob = LaxProblem(p=TPolyAlgebra(M2).zero, l0=DIAG, n=3)
+    prob = LaxProblem(p=TPoly.of(M2, []), l0=DIAG, n=3)
     sol = lax_solve(prob)
-    assert sol.lq == QSeries.constant(sol.pq.alg, 3, TPoly.const(M2, DIAG))
+    assert sol.lq == QSeries.constant(M2, 3, DIAG)
     assert lax_residual(sol.lq, sol.pq).is_zero()
 
 
@@ -243,9 +241,9 @@ def test_solve_nilpotent_frozen_values():
     # oracle: conjugating by 1 + qtP kills everything above q^1:
     # Lq = [[1, -2qt], [0, -1]] on the nose
     sol = lax_solve(nilpotent_problem(2))
-    assert sol.lq.coeffs[0] == TPoly.const(M2, DIAG)
-    assert sol.lq.coeffs[1] == TPoly.t_power(M2, RatMatrix.of([[0, -2], [0, 0]]), 1)
-    assert sol.lq.coeffs[2].is_zero()
+    assert sol.lq.coeffs[0] == DIAG
+    assert sol.lq.coeffs[1] == RatMatrix.of([[0, -2], [0, 0]])
+    assert M2.is_zero(sol.lq.coeffs[2])
     assert lax_residual(sol.lq, sol.pq).is_zero()
 
 
@@ -259,9 +257,9 @@ def test_solve_kdv_matches_adjoint_series():
     sol = lax_solve(prob)
     ad1 = commutator(p, l0)
     ad2 = commutator(p, ad1)
-    assert sol.lq.coeffs[0] == TPoly.const(palg, l0)
-    assert sol.lq.coeffs[1] == TPoly.t_power(palg, ad1, 1)
-    assert sol.lq.coeffs[2] == TPoly.t_power(palg, ad2.scale(Fraction(1, 2)), 2)
+    assert sol.lq.coeffs[0] == l0
+    assert sol.lq.coeffs[1] == ad1
+    assert sol.lq.coeffs[2] == ad2.scale(Fraction(1, 2))
     # and the q^1 coefficient is the flow right-hand side
     assert ad1 == PsdoSymbol.from_dp(parse_diffpoly("6*u*u_1 - u_3"))
 
@@ -275,7 +273,7 @@ def test_solve_time_independent_matches_adjoint_series():
     acc = l0
     fact = 1
     for k in range(5):
-        assert sol.lq.coeffs[k] == TPoly.t_power(alg, acc.scale(Fraction(1, fact)), k)
+        assert sol.lq.coeffs[k] == acc.scale(Fraction(1, fact))
         acc = p * acc - acc * p
         fact *= k + 1
 
@@ -290,11 +288,32 @@ def test_residual_zero_for_solutions():
 def test_residual_detects_non_solution():
     prob = nilpotent_problem(2)
     pq, _ = deform(prob.p, prob.n)
-    frozen = QSeries.constant(pq.alg, 2, TPoly.const(M2, DIAG))
+    frozen = QSeries.constant(M2, 2, DIAG)
     res = lax_residual(frozen, pq)
     assert not res.is_zero()
     bracket = NILP * DIAG - DIAG * NILP
-    assert res.coeffs[1] == TPoly.const(M2, -bracket)
+    assert res.coeffs[1] == -bracket
+
+
+def test_residual_report_pins_t_degrees():
+    # the q^k coefficient of a residual carries t^(k-1): a frozen Lq = L0
+    # against P = A + t*B + t^2*C leaves -[A, L0], -t*[B, L0], -t^2*[C, L0]
+    from qlax.render import residual_report
+
+    p = TPoly.of(M2, [NILP, RatMatrix.of([[0, 0], [2, 0]]), DIAG])
+    sol = lax_solve(LaxProblem(p=p, l0=RatMatrix.of([["1", "1/2"], [3, 0]]), n=3))
+    frozen = QSeries.constant(sol.lq.alg, 3, sol.lq.coeffs[0])
+    assert residual_report(lax_residual(frozen, sol.pq)) == {
+        "schema": "qlax/residual/1",
+        "zero": False,
+        "lossy": False,
+        "orders": [
+            {"q_order": 0, "max_norm": "0", "t_norms": []},
+            {"q_order": 1, "max_norm": "3", "t_norms": ["3"]},
+            {"q_order": 2, "max_norm": "2", "t_norms": ["0", "2"]},
+            {"q_order": 3, "max_norm": "6", "t_norms": ["0", "0", "6"]},
+        ],
+    }
 
 
 def test_residual_kdv_n3():
@@ -314,13 +333,11 @@ def test_isospectral_traces():
         sol = lax_solve(prob)
         power = sol.lq
         for m in (1, 2, 3):
-            trace_series = power.map_coeffs(
-                lambda tp: TPoly(rat, tuple(c.trace() for c in tp.coeffs)),
-                alg=TPolyAlgebra(rat),
-            )
-            # constant in t: every q-coefficient has t-degree <= 0
-            for tp in trace_series.coeffs:
-                assert tp.degree <= 0
+            trace_series = power.map_coeffs(lambda c: c.trace(), alg=rat)
+            # constant in t: the q^k coefficient carries t^k, so it must
+            # vanish for every k >= 1
+            for c in trace_series.coeffs[1:]:
+                assert c == 0
             if m < 3:
                 power = power * sol.lq
 

@@ -1,4 +1,5 @@
-"""The generic kernel modules import no backend and no DSL."""
+"""The generic kernel modules import no backend and no DSL, and powers of
+t appear only at the rendering boundary."""
 
 import ast
 from pathlib import Path
@@ -9,9 +10,13 @@ KERNEL = ("algebra", "qseries", "laxflow", "symops", "render")
 BACKENDS = {"matrix", "psdo", "diffpoly", "expr"}
 
 
+def source(name: str) -> str:
+    return (Path(qlax.__file__).parent / f"{name}.py").read_text()
+
+
 def imported_modules(name: str) -> set:
     """Every qlax module ``name`` imports, at the top level or inside a function."""
-    tree = ast.parse((Path(qlax.__file__).parent / f"{name}.py").read_text())
+    tree = ast.parse(source(name))
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -29,3 +34,16 @@ def test_kernel_imports_no_backend():
     assert {"diffpoly", "expr"} <= imported_modules("psdo")
     for name in KERNEL:
         assert not imported_modules(name) & BACKENDS, name
+
+
+
+def test_kernel_series_hold_no_t_polynomials():
+    # a kernel series stores one coefficient per q-order; TPoly is only the
+    # input type of a path P
+    for name in ("qseries", "symops", "matrix", "cli"):
+        assert "TPoly" not in source(name), name
+
+
+def test_t_coefficients_are_spelled_out_only_in_render():
+    modules = [path.stem for path in Path(qlax.__file__).parent.glob("*.py")]
+    assert [name for name in modules if "t_coeffs" in source(name)] == ["render"]
