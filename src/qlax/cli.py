@@ -23,7 +23,7 @@ from typing import List, Optional
 from .algebra import rational
 from .diffpoly import DiffPoly
 from .errors import ProblemFileError, QlaxError
-from .laxflow import lax_residual, lax_solve
+from .laxflow import dt_series, lax_residual, lax_solve
 from .matrix import convergence_study
 from .psdo import PsdoSymbol, commutator, kdv_pair
 from .problemfile import load_probes, load_problem_file
@@ -102,9 +102,17 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
     pf = load_problem_file(args.problem, default_n=args.qorder)
     prob = pf.lax_problem()
     sol = lax_solve(prob)
-    residual = lax_residual(sol.lq, sol.pq)
-    report = residual_report(residual)
-    ok = report["zero"]
+    report = residual_report(lax_residual(sol.lq, sol.pq))
+    # Independent of the recurrences; as the flows are unique, they pin both printed series.
+    failed = [name for name, passed in (
+        ("dLq/dt = [Pq, Lq]", report["zero"]),
+        ("Lq(0) = L0", sol.lq.coeffs[0] == prob.l0),
+        ("W(0) = 1", sol.w.coeffs[0] == prob.alg.one),
+        ("dW/dt = Pq*W", (dt_series(sol.w) - sol.pq * sol.w).is_zero()),
+    ) if not passed]
+    if failed:
+        sys.stderr.write(f"failed check: {', '.join(failed)}\n")
+    ok = not failed
     if _resolve_format(args) == "json":
         doc = {
             "schema": "qlax/laxsolve-report/1",
@@ -119,7 +127,7 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
         lines = [f"backend: {pf.backend}, N = {prob.n}"]
         lines += series_lines("W", sol.w)
         lines += series_lines("Lq", sol.lq)
-        lines.append(f"residual: {'zero (exact)' if ok else 'NONZERO'}")
+        lines.append(f"residual: {'zero (exact)' if report['zero'] else 'NONZERO'}")
         lines.append(PASS if ok else FAIL)
         _emit("\n".join(lines))
     return 0 if ok else 1
@@ -142,7 +150,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
         raise ProblemFileError("S0", "missing (the symmetry command needs an initial symmetry)")
     prob = pf.lax_problem()
     sol = lax_solve(prob)
-    sq = transport(pf.s0, sol.pq)
+    sq = transport(pf.s0, sol.pq, sol.lq)
     probes = _symmetry_probes(args, pf)
     r3 = symmetry3_residual(sq, sol.pq)
     r3_zero = residual_vanishes(r3, probes)

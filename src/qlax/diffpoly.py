@@ -116,12 +116,6 @@ class DiffPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == MONO_ONE)
 
-    def constant_term(self) -> Fraction:
-        for m, c in self.terms:
-            if m == MONO_ONE:
-                return c
-        return Fraction(0)
-
     def degree(self) -> int:
         """Largest total degree; -1 for the zero polynomial."""
         return max((mono_degree(m) for m, _ in self.terms), default=-1)

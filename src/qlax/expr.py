@@ -17,15 +17,15 @@ elaborates to an exact differential-operator symbol.
 The same syntax trees also elaborate into plain differential polynomials
 (used for coefficients); there ``d`` is rejected as unbound.
 
-``render_operator`` produces text that reparses to an equal symbol, e.g.
-``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
+``render_operator`` produces text that reparses to an equal symbol while its
+powers stay within MAX_POWER, e.g. ``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, NoReturn, Tuple, Union
 
 from .diffpoly import DiffPoly, mono_text
 from .errors import ParseError, UnboundIdentifier
@@ -144,6 +144,8 @@ class Mul:
 class Pow:
     base: "Node"
     exponent: int
+    line: int
+    column: int
 
 
 Node = Union[Lit, Jet, Deriv, Neg, Add, Sub, Mul, Pow]
@@ -202,7 +204,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.next()
             tok = self.expect("int")
-            node = Pow(node, int(tok.text))
+            node = Pow(node, int(tok.text), tok.line, tok.column)
         return node
 
     def atom(self) -> Node:
@@ -242,63 +244,73 @@ def parse_expr(text: str) -> Node:
 
 # -- elaboration ---------------------------------------------------------
 
-def to_operator(node: Node) -> PsdoSymbol:
-    """Elaborate a tree into an exact differential-operator symbol."""
-    if isinstance(node, Lit):
-        return PsdoSymbol.const(node.value)
-    if isinstance(node, Jet):
-        return PsdoSymbol.from_dp(DiffPoly.u(node.index))
-    if isinstance(node, Deriv):
-        return PsdoSymbol.xi(1)
-    if isinstance(node, Neg):
-        return -to_operator(node.arg)
-    if isinstance(node, Add):
-        return to_operator(node.left) + to_operator(node.right)
-    if isinstance(node, Sub):
-        return to_operator(node.left) - to_operator(node.right)
-    if isinstance(node, Mul):
-        return compose(to_operator(node.left), to_operator(node.right))
-    if isinstance(node, Pow):
-        return to_operator(node.base) ** node.exponent
-    raise TypeError(f"unexpected node {node!r}")
+# Elaborating x^n takes n products, and the terms of (d+u)^n grow so fast
+# that (d+u)^16 takes about 0.4 s, (d+u)^24 about 2 s and (d+u)^32 about
+# 15 s.  So the exponents on any path through nested powers (a zero
+# exponent counts as 1) may multiply to at most 24.
+MAX_POWER = 24
 
 
-def to_diffpoly(node: Node) -> DiffPoly:
-    """Elaborate a tree into a differential polynomial; rejects ``d``."""
-    if isinstance(node, Lit):
-        return DiffPoly.const(node.value)
-    if isinstance(node, Jet):
-        return DiffPoly.u(node.index)
-    if isinstance(node, Deriv):
-        raise UnboundIdentifier(
-            "'d' does not denote a differential polynomial", node.line, node.column
-        )
-    if isinstance(node, Neg):
-        return -to_diffpoly(node.arg)
-    if isinstance(node, Add):
-        return to_diffpoly(node.left) + to_diffpoly(node.right)
-    if isinstance(node, Sub):
-        return to_diffpoly(node.left) - to_diffpoly(node.right)
-    if isinstance(node, Mul):
-        return to_diffpoly(node.left) * to_diffpoly(node.right)
+def _check_powers(node: Node, text: str, outer: int = 1) -> None:
     if isinstance(node, Pow):
-        return to_diffpoly(node.base) ** node.exponent
-    raise TypeError(f"unexpected node {node!r}")
+        outer *= max(node.exponent, 1)
+        if outer > MAX_POWER:
+            raise ParseError(
+                f"power too large in {text!r}: nested exponents multiply to {outer}, above {MAX_POWER}",
+                node.line,
+                node.column,
+            )
+    for child in vars(node).values():
+        if isinstance(child, (Neg, Add, Sub, Mul, Pow)):
+            _check_powers(child, text, outer)
+
+
+def _unbound_d(node: Deriv) -> NoReturn:
+    raise UnboundIdentifier("'d' does not denote a differential polynomial", node.line, node.column)
+
+
+# How each target denotes a literal, a jet variable, d and a product.
+_OPERATOR = (PsdoSymbol.const, lambda j: PsdoSymbol.from_dp(DiffPoly.u(j)), lambda _: PsdoSymbol.xi(1), compose)
+_DIFFPOLY = (DiffPoly.const, DiffPoly.u, _unbound_d, lambda a, b: a * b)
+
+
+def _value(node: Node, target: tuple):
+    lit, jet, deriv, mul = target
+    if isinstance(node, Lit):
+        return lit(node.value)
+    if isinstance(node, Jet):
+        return jet(node.index)
+    if isinstance(node, Deriv):
+        return deriv(node)
+    if isinstance(node, Neg):
+        return -_value(node.arg, target)
+    if isinstance(node, Pow):
+        return _value(node.base, target) ** node.exponent
+    left, right = _value(node.left, target), _value(node.right, target)
+    if isinstance(node, Add):
+        return left + right
+    if isinstance(node, Sub):
+        return left - right
+    return mul(left, right)
 
 
 def parse_operator(text: str) -> PsdoSymbol:
-    return _elaborate(text, to_operator)
+    """DSL text as an exact differential-operator symbol."""
+    return _elaborate(text, _OPERATOR)
 
 
 def parse_diffpoly(text: str) -> DiffPoly:
-    return _elaborate(text, to_diffpoly)
+    """DSL text as a differential polynomial; rejects ``d``."""
+    return _elaborate(text, _DIFFPOLY)
 
 
-def _elaborate(text: str, to_value):
+def _elaborate(text: str, target: tuple):
     # Parsing and elaboration recurse once per nesting level and once per
     # binary operator, so deep brackets and long flat sums both end here.
     try:
-        return to_value(parse_expr(text))
+        node = parse_expr(text)
+        _check_powers(node, text)
+        return _value(node, target)
     except RecursionError:
         raise ParseError("expression nested too deeply", 1, 1) from None
 

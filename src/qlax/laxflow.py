@@ -17,24 +17,18 @@ Weights add under products, ``dt_series`` takes weight 0 to 1
 term, which is the valuation val(Pq) >= 1 that makes everything below
 finite.  Only ``render`` expands a coefficient back into its powers of t.
 
-W solves dW/dt = Pq*W with W(0) = 1.  Read off order by order in q, that
-equation is the Taylor-series recurrence
+W solves dW/dt = Pq*W with W(0) = 1 and the flow Lq solves
+dLq/dt = [Pq, Lq] with Lq(0) = L0.  Read order by order in q, both are one
+Taylor recurrence (the Jorba-Zou method), which ``_taylor`` runs:
 
-    w_0 = 1,   k * w_k = sum_{m=1..k} pq_m * w_{k-m},
+    x_0 given,   k * x_k = sum_{m=1..min(k, d+1)} step(pq_m, x_{k-m})
 
-which ``texp`` evaluates: about deg_t(P) * N products, since pq_m vanishes
-for m > deg_t(P) + 1.  The same W is the sum of the iterated integrals
-
-    a_0 = 1,   a_i(t) = integral_0^t Pq(s) * a_{i-1}(s) ds,
-
-with val(a_i) >= i, so a_0..a_N are exhaustive modulo q^(N+1).
-``iterated_integrals`` keeps that ordered-simplex form, folded one
-integral at a time, as the reference the tests compare ``texp`` against.
-
-The flow with initial value L0 is then the conjugation Lq = W * L0 * W^-1,
-which solves dLq/dt = [Pq, Lq] exactly modulo q^(N+1); ``lax_residual``
-recomputes that defining equation from scratch so solutions can be checked
-rather than trusted.
+for d = deg_t(P), with step(p, x) = p*x in ``texp`` and p*x - x*p in
+``flow``.  The truncated solution from x_0 is unique, so flow(x) is the
+conjugation W x W^-1; only the tests build W^-1 to check that.  W is also
+the sum of the iterated integrals a_0 = 1, a_i = integral_0^t Pq a_{i-1}
+(val(a_i) >= i), which ``iterated_integrals`` keeps as a test reference.
+``lax_residual`` recomputes the flow's equation with generic products.
 
 Everything here is generic over the coefficient algebra A (matrices,
 operator symbols, or tensor pairs of either).
@@ -44,10 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, NamedTuple
+from functools import cached_property, reduce
+from operator import add
+from typing import Any, Callable, List, NamedTuple
 
 from .algebra import Algebra, TPoly, rational
-from .errors import TruncationMismatch, ValuationError
+from .errors import ValuationError
 from .qseries import QSeries
 
 
@@ -131,46 +127,47 @@ def iterated_integrals(pq: QSeries) -> List[QSeries]:
     return terms
 
 
-def texp(pq: QSeries) -> QSeries:
-    """Time-ordered exponential W with dW/dt = pq * W and W(0) = 1, by the
-    recurrence w_k = (1/k) * sum_{m=1..k} pq_m * w_{k-m}."""
+def _taylor(x0: Any, pq: QSeries, step: Callable[[Any, Any], Any]) -> QSeries:
+    """The solution of dX/dt = step(Pq, X) with X(0) = x0."""
     if pq.val() < 1:
-        raise ValuationError("time-ordered exponential needs q-valuation >= 1")
+        raise ValuationError("the path of a flow needs q-valuation >= 1")
     alg = pq.alg
-    is_zero = alg.is_zero
-    p = pq.coeffs
-    w = [alg.one]
+    path = [(m, p) for m, p in enumerate(pq.coeffs) if not alg.is_zero(p)]
+    x = [x0]
     for k in range(1, pq.trunc + 1):
-        acc = None
-        for m in range(1, k + 1):
-            if not (is_zero(p[m]) or is_zero(w[k - m])):
-                prod = p[m] * w[k - m]
-                acc = prod if acc is None else acc + prod
-        w.append(alg.zero if acc is None else alg.scale(Fraction(1, k), acc))
-    return QSeries(alg, tuple(w))
+        terms = [step(p, x[k - m]) for m, p in path if m <= k and not alg.is_zero(x[k - m])]
+        x.append(alg.scale(Fraction(1, k), reduce(add, terms)) if terms else alg.zero)
+    return QSeries(alg, tuple(x))
+
+
+def texp(pq: QSeries) -> QSeries:
+    """Time-ordered exponential W with dW/dt = pq * W and W(0) = 1."""
+    return _taylor(pq.alg.one, pq, lambda p, w: p * w)
+
+
+def flow(x0: Any, pq: QSeries) -> QSeries:
+    """The Lax flow dX/dt = [pq, X] started at X(0) = x0."""
+    return _taylor(x0, pq, lambda p, x: p * x - x * p)
 
 
 @dataclass(frozen=True)
 class LaxSolution:
-    w: QSeries  # the time-ordered exponential
-    lq: QSeries  # the conjugated flow W * L0 * W^-1
+    lq: QSeries  # the flow from L0
     pq: QSeries  # the deformed path
+
+    @cached_property
+    def w(self) -> QSeries:  # computed when first read; symmetry never does
+        return texp(self.pq)
 
 
 def lax_solve(prob: LaxProblem) -> LaxSolution:
-    """Solve the deformed flow by conjugation."""
+    """Solve the deformed flow by its Taylor recurrence from L0."""
     pq = deform(prob.p, prob.n).series
-    w = texp(pq)
-    lq = w * QSeries.constant(prob.alg, prob.n, prob.l0) * w.invert_unipotent()
-    return LaxSolution(w=w, lq=lq, pq=pq)
+    return LaxSolution(lq=flow(prob.l0, pq), pq=pq)
 
 
 def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:
     """dLq/dt - [Pq, Lq]; identically zero exactly for lax_solve output."""
-    if lq.trunc != pq.trunc:
-        raise TruncationMismatch(
-            f"truncation orders differ: {lq.trunc} vs {pq.trunc}"
-        )
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
     return dt_series(lq) - (pq * lq - lq * pq)

@@ -107,9 +107,6 @@ class PsdoSymbol:
     def is_zero(self) -> bool:
         return not self.terms and self.floor is None
 
-    def is_exact(self) -> bool:
-        return self.floor is None
-
     # -- ring operations ----------------------------------------------
 
     @staticmethod

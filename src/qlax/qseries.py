@@ -93,9 +93,6 @@ class QSeries:
     def trunc(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Any:
-        return self.coeffs[k]
-
     def val(self) -> int | float:
         """q-valuation: smallest order with a nonzero coefficient,
         +inf for the zero series."""

@@ -18,19 +18,19 @@ may extend it; this module works over any algebra and imports no backend.
 Symmetries of the deformed flow obey the same kind of equation as the flow
 itself, dS/dt = [ad(Pq), S], inside the algebra of BiOps; series of BiOps
 follow the weight convention of ``laxflow`` (S has weight 0, lift_ad(Pq)
-and the residuals weight 1).  Its solution is conjugation by the
-time-ordered exponential W = texp(Pq): S(t)X = W S0(W^-1 X W) W^-1.  For
-S0 = sum_i (l_i, r_i) that is the closed form
+and the residuals weight 1).  The bracket with Pq is a derivation, so the
+flow of a product is the product of the flows, and for S0 = sum_i (l_i, r_i)
 
-    S(t) = sum_i (W l_i W^-1, W r_i W^-1),
+    S(t) = sum_i (flow(l_i), flow(r_i)),
 
-which ``transport`` builds with one W, one W^-1 and as many pairs per
-coefficient as the product of the two sides' q-expansions needs; a side
-equal to 1 stays 1.  ``exp_ad``, the time-ordered exponential of the
-lifted path ad(Pq) (the parallel transport of the connection d/dt + ad_Pq),
-stays as the library form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.
-Both residual maps recompute dS/dt - [ad(Pq), S] from ``dt_series`` and
-``lift_ad``, never through W.
+which ``transport`` builds with one ``laxflow.flow`` per distinct side; a
+side equal to 1 stays 1 and a side equal to L0 reuses Lq.  As flow(x) is
+W x W^-1 for W = texp(Pq), S(t) = sum_i (W l_i W^-1, W r_i W^-1); the
+tests check that identity and the group law of the deformed symmetries.
+``exp_ad``, the time-ordered exponential of the lifted path ad(Pq) (the
+parallel transport of the connection d/dt + ad_Pq), stays as the library
+form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.  Both residual maps
+recompute dS/dt - [ad(Pq), S] from ``dt_series`` and ``lift_ad``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from .algebra import Algebra, algebra_of, json_value, max_abs, rational
-from .errors import TruncationMismatch
-from .laxflow import LaxProblem, LaxSolution, lax_residual, texp
+from .laxflow import LaxProblem, LaxSolution, flow, lax_residual, texp
 from .qseries import QSeries
 
 
@@ -182,30 +181,29 @@ def exp_ad(pq: QSeries) -> QSeries:
     return texp(lift_ad(pq))
 
 
-def transport(s0: BiOp, pq: QSeries) -> QSeries:
+def transport(s0: BiOp, pq: QSeries, lq: Optional[QSeries] = None) -> QSeries:
     """Carry an initial symmetry along time in closed form.
 
-    S(t) = sum_i (W l_i W^-1, W r_i W^-1) for S0 = sum_i (l_i, r_i) and
-    W = texp(pq): the unique solution of dS/dt = [ad(Pq), S] with
-    S(0) = s0, modulo q^(N+1).  The q^k coefficient pairs the q^k1
-    coefficient of a left side with the q^(k-k1) coefficient of its right
-    side, so it has at most len(s0.terms) * (k+1) pairs.
+    S(t) = sum_i (flow(l_i), flow(r_i)) for S0 = sum_i (l_i, r_i): the
+    unique solution of dS/dt = [ad(Pq), S] with S(0) = s0, modulo q^(N+1).
+    ``lq``, if given, is the flow of ``pq`` from L0 = lq(0) and serves a
+    side equal to L0.  The q^k coefficient pairs the q^k1 coefficient of a
+    left side with the q^(k-k1) coefficient of its right side, so it has at
+    most len(s0.terms) * (k+1) pairs.
     """
     base = s0.alg
     n = pq.trunc
-    sides = dict.fromkeys(x for pair in s0.terms for x in pair if x != base.one)
-    conj = {base.one: QSeries.one(base, n)}
-    if sides:
-        w = texp(pq)
-        winv = w.invert_unipotent()
-        for x in sides:
-            conj[x] = w * QSeries.constant(base, n, x) * winv
+    flows = {} if lq is None else {lq.coeffs[0]: lq}
+    flows[base.one] = QSeries.one(base, n)
+    for x in (x for pair in s0.terms for x in pair):
+        if x not in flows:
+            flows[x] = flow(x, pq)
     is_zero = base.is_zero
     out = []
     for k in range(n + 1):
         pairs = []
         for left, right in s0.terms:
-            ls, rs = conj[left].coeffs, conj[right].coeffs
+            ls, rs = flows[left].coeffs, flows[right].coeffs
             for k1 in range(k + 1):
                 if not (is_zero(ls[k1]) or is_zero(rs[k - k1])):
                     pairs.append((ls[k1], rs[k - k1]))
@@ -222,10 +220,7 @@ def symmetry3_residual(sq: QSeries, pq: QSeries) -> QSeries:
 def apply_series(sq: QSeries, xq: QSeries) -> QSeries:
     """Apply a q-series of BiOps to a q-series of A-elements: the Cauchy
     product with the BiOp action as multiplication (the weights add)."""
-    if sq.trunc != xq.trunc:
-        raise TruncationMismatch(
-            f"truncation orders differ: {sq.trunc} vs {xq.trunc}"
-        )
+    sq._check(xq)
     alg = xq.alg
     n = sq.trunc
     out = [alg.zero] * (n + 1)
@@ -264,14 +259,14 @@ def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq:
     """Transported symmetries map solutions to solutions.
 
     ``sol`` solves ``prob`` and ``sq`` is the transport of ``s0`` along
-    ``sol.pq``.  Checks that M = S(t).Lq(t) satisfies the deformed flow
-    equation and that M(t=0), the q^0 coefficient of the weight-0 series
-    M, is S0(L0).  Modulo q^(N+1) the flow from a given initial value is
-    unique (each q-order is the integral from 0 of lower orders), so this
-    says M is the conjugation solution started at S0(L0), without solving
-    for it.
+    ``sol.pq``.  Checks that Lq solves the deformed flow from L0, and that
+    M = S(t).Lq(t) satisfies the same equation with M(t=0), the q^0
+    coefficient of the weight-0 series M, equal to S0(L0).  Modulo
+    q^(N+1) the flow from a given initial value is unique (each q-order is
+    the integral from 0 of lower orders), so this says M is the solution
+    started at S0(L0), without solving for it.
     """
-    mq = apply_series(sq, sol.lq)
-    if not lax_residual(mq, sol.pq).is_zero():
+    if not lax_residual(sol.lq, sol.pq).is_zero() or sol.lq.coeffs[0] != prob.l0:
         return False
-    return mq.coeffs[0] == s0.apply(prob.l0)
+    mq = apply_series(sq, sol.lq)
+    return lax_residual(mq, sol.pq).is_zero() and mq.coeffs[0] == s0.apply(prob.l0)

@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from qlax import laxflow
 from qlax.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -139,6 +140,80 @@ def test_lax_solve_text_verdict(capsys):
     assert out.strip().endswith("PASS")
 
 
+def bumped_texp(k):
+    """texp with the identity added to the q^k coefficient of W."""
+    from qlax import QSeries
+
+    real = laxflow.texp
+
+    def texp(pq):
+        w = real(pq)
+        return w + QSeries.term(w.alg, w.trunc, w.alg.one, k)
+
+    return texp
+
+
+def test_lax_solve_checks_w_apart_from_the_recurrence(monkeypatch, capsys):
+    # W is printed but not used for Lq, so only its own equation can catch
+    # a wrong coefficient; q^N is the last order that equation sees
+    for name in ("nilpotent2x2_n2.json", "matrix3x3_n2.json", "kdv_n2.json"):
+        path = str(PROBLEMS / name)
+        n = json.loads((PROBLEMS / name).read_text())["N"]
+        for fmt in ("text", "json"):
+            code, good, err = run(capsys, "lax-solve", path, "--format", fmt)
+            assert (code, err) == (0, "")
+            for k in (1, n):
+                with monkeypatch.context() as m:
+                    m.setattr(laxflow, "texp", bumped_texp(k))
+                    code, out, err = run(capsys, "lax-solve", path, "--format", fmt)
+                assert code == 1
+                assert err == "failed check: dW/dt = Pq*W\n"
+                if fmt == "text":
+                    assert out.splitlines()[:-1] != good.splitlines()[:-1]
+                    assert len(out.splitlines()) == len(good.splitlines())
+                    assert good.endswith("PASS\n") and out.endswith("FAIL\n")
+                else:
+                    validate(json.loads(out), "laxsolve.schema.json")
+                    assert json.loads(out).keys() == json.loads(good).keys()
+
+
+def test_lax_solve_names_each_failed_check(monkeypatch, capsys):
+    from qlax import QSeries
+
+    real = laxflow.flow
+    shifted = lambda x0, pq: real(x0, pq) + QSeries.constant(pq.alg, pq.trunc, pq.alg.one)
+    monkeypatch.setattr(laxflow, "flow", shifted)
+    code, out, err = run(capsys, "lax-solve", str(PROBLEMS / "nilpotent2x2_n2.json"))
+    assert code == 1 and out.endswith("residual: zero (exact)\nFAIL\n")
+    assert err == "failed check: Lq(0) = L0\n"
+    monkeypatch.setattr(laxflow, "flow", lambda x0, pq: QSeries.constant(pq.alg, pq.trunc, x0))
+    code, out, err = run(capsys, "lax-solve", str(PROBLEMS / "nilpotent2x2_n2.json"))
+    assert code == 1 and out.endswith("residual: NONZERO\nFAIL\n")
+    assert err == "failed check: dLq/dt = [Pq, Lq]\n"
+
+
+def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
+    # invert_unipotent and iterated_integrals are test references only, and
+    # symmetry never computes W: every golden run is unchanged without them
+    from qlax import QSeries
+    from test_golden import GOLDEN, ROOT, cases, digest, run_all
+
+    def refuse(*args):
+        raise AssertionError("called on the command path")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("QLAX_FORMAT", raising=False)
+    monkeypatch.setattr(QSeries, "invert_unipotent", refuse)
+    monkeypatch.setattr(laxflow, "iterated_integrals", refuse)
+    assert run_all() == GOLDEN
+    monkeypatch.setattr(laxflow, "texp", refuse)
+    for argv in cases():
+        if argv[0] == "symmetry":
+            for fmt in ("text", "json"):
+                key = argv + ("--format", fmt)
+                assert digest(key) == GOLDEN[" ".join(key)]
+
+
 def test_lax_solve_rejects_bad_n(tmp_path, capsys):
     doc = json.loads((PROBLEMS / "nilpotent2x2_n2.json").read_text())
     doc["N"] = 0
@@ -226,6 +301,23 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
         assert not out
         assert message in err
         assert "Traceback" not in err
+
+
+def test_large_powers_exit_2_quickly(tmp_path, capsys):
+    import time
+
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"backend": "psdo", "L0": "u^99999999", "P": [[0, "d"]], "N": 1}))
+    for argv, message in (
+        (("commutator", "d^99999999", "u"), "'d^99999999'"),
+        (("commutator", "u", "((d+u)^16)^16"), "'((d+u)^16)^16'"),
+        (("lax-solve", str(big)), "field 'L0': power too large in 'u^99999999'"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_depth_and_seed_are_not_options(capsys):

@@ -3,7 +3,8 @@
 Exit 2 is an input error, and 1 means "checks ran and failed", so it must
 come with a failed verdict on stdout.  No input may end in a traceback.
 Truncation orders stay at most 3 and DSL exponents and jet indices at most
-4, which keeps every run small.
+4, which keeps every run small, except for powers whose nested exponents
+multiply past the DSL's bound: those must exit 2.
 """
 
 import io
@@ -20,7 +21,8 @@ from qlax.cli import main
 # Problem files hold single atoms: a symmetry check on products like
 # d^4*u_4 already takes seconds at N = 3.  Commutator arguments may join two.
 ATOMS = ("d", "d^2", "d^4", "u", "u_1", "u_4", "u^2", "1", "1/2", "-3")
-atom = st.sampled_from(ATOMS)
+TOO_BIG = ("d^25", "u^99999999", "(u^5)^5", "((d + u)^16)^16")
+atom = st.sampled_from(ATOMS * 4 + TOO_BIG)
 soup = st.lists(st.sampled_from(ATOMS + ("+", "-", "*", "^", "(", ")", "u_", "/0")), max_size=5).map(" ".join)
 dsl = atom | st.tuples(atom, st.sampled_from([" + ", " - ", "*"]), atom).map("".join) | soup
 
@@ -137,5 +139,8 @@ def test_cli_exit_codes_and_no_traceback(case):
         code, out, err = run([str(files[a]) if a in files else a for a in args])
     assert code in (0, 1, 2), (args, code, err)
     assert "Traceback" not in err
+    read = args[1:3] if args[0] == "commutator" else [problem.decode("latin-1")] * (args[0] != "kdv-verify")
+    if any(big in text for big in TOO_BIG for text in read):
+        assert code == 2, (args, code, err)
     if code == 1:
         assert "FAIL" in out or '"pass": false' in out, (args, out)

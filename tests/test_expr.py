@@ -41,6 +41,29 @@ def test_parse_rationals_and_powers():
     assert parse_operator("d^0") == PsdoSymbol.one()
 
 
+def test_nested_powers_are_bounded():
+    from qlax import parse_diffpoly
+    from qlax.expr import MAX_POWER
+
+    assert MAX_POWER == 24
+    for parse, atom in ((parse_operator, "d"), (parse_diffpoly, "u")):
+        # the exponents on a path multiply, and an exponent 0 counts as 1
+        for text in (f"{atom}^24", f"(({atom}^2)^3)^4", f"({atom}^0)^24", f"{atom}^24*{atom}^24"):
+            parse(text)
+        for text, column in (
+            (f"{atom}^25", 3),
+            (f"({atom}^5)^5", 4),
+            (f"(({atom}^2)^3)^5", 5),
+            (f"(({atom}^0)^5)^5", 8),
+            (f"(1 + ({atom}^99999999 - u))^1", 9),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.column == column, text
+            assert repr(text) in str(err.value)
+    assert parse_operator("d^24") == PsdoSymbol.xi(24)
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_operator("u + ")

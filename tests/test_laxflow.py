@@ -1,4 +1,4 @@
-"""Deformation, time-ordered exponentials, and the conjugated flow."""
+"""Deformation, time-ordered exponentials, and the Lax flow."""
 
 from fractions import Fraction
 
@@ -24,6 +24,8 @@ from qlax import (
     parse_operator,
     texp,
 )
+
+from qlax.laxflow import flow
 
 from conftest import int_stream, rint
 
@@ -172,20 +174,17 @@ def test_texp_matches_iterated_integrals_on_kdv_pairs():
 
 
 def test_lax_solve_matrix_product_count(monkeypatch):
-    """Operation-count guard for one 3x3 lax_solve at N = 10, deg_t P = d = 2.
+    """Operation-count guard for one 3x3 lax_solve at N = 10, deg_t P = d = 2,
+    with W read as well.
 
-    Every q^k coefficient of Pq, W and W^-1 is a single t-monomial, so a
-    t-polynomial product costs one matrix product, and the stages need
-
-        texp:       sum_{k=1..N} min(k, d+1) = (d+1)N - d(d+1)/2  = 27
-        W^-1:       sum_{k=1..N} k           = N(N+1)/2           = 55
-        W*L0*W^-1:  (N+1) + (N+1)(N+2)/2                          = 77
-
-    matrix products, 159 in all.  Summing the iterated integrals and
-    inverting by the geometric series took 343.
+    Every q^k coefficient of Pq, W and Lq is a single matrix, and pq_m
+    vanishes for m > d + 1, so one Taylor recurrence costs
+    sum_{k=1..N} min(k, d+1) = (d+1)N - d(d+1)/2 = 27 steps: one product
+    each for W = texp(Pq) and two (the bracket) for Lq = flow(L0), 81 in
+    all.  Conjugating L0 by W with a unipotent inverse took 159.
     """
     n, d = 10, 2
-    bound = (d + 1) * n - d * (d + 1) // 2 + n * (n + 1) // 2 + (n + 1) + (n + 1) * (n + 2) // 2
+    bound = 3 * ((d + 1) * n - d * (d + 1) // 2)
     calls = []
     product = RatMatrix.__mul__
 
@@ -195,8 +194,51 @@ def test_lax_solve_matrix_product_count(monkeypatch):
 
     prob = rand_problem(1, n=n, nn=3, deg=d)
     monkeypatch.setattr(RatMatrix, "__mul__", counting)
-    lax_solve(prob)
-    assert len(calls) <= bound == 159
+    sol = lax_solve(prob)
+    sol.w
+    assert len(calls) <= bound == 81
+
+
+def test_lax_solve_computes_w_only_when_read(monkeypatch):
+    import qlax.laxflow
+
+    calls = []
+    monkeypatch.setattr(qlax.laxflow, "texp", lambda pq: calls.append(pq) or texp(pq))
+    sol = lax_solve(nilpotent_problem(3))
+    assert calls == []
+    assert sol.w is sol.w and sol.w == texp(sol.pq)
+    assert calls == [sol.pq]
+
+
+def conjugation(w: QSeries, x) -> QSeries:
+    """The reference flow W x W^-1, with the unipotent inverse."""
+    return w * QSeries.constant(w.alg, w.trunc, x) * w.invert_unipotent()
+
+
+def test_flow_is_the_conjugation_on_matrix_problems():
+    stream = int_stream(41)
+    for n in range(1, 7):
+        for nn in (2, 3):
+            prob = rand_problem(next(stream), n=n, nn=nn, deg=rint(stream, 0, n - 1))
+            sol = lax_solve(prob)
+            assert sol.lq == conjugation(sol.w, prob.l0)
+            x = mat_random(nn, next(stream), 2)
+            assert flow(x, sol.pq) == conjugation(sol.w, x)
+
+
+def test_flow_is_the_conjugation_on_kdv_pairs():
+    l0, p = kdv_pair()
+    palg = PsdoAlgebra()
+    rescaled = parse_operator("(-1/3)*d^3 + (5/4)*(d*u + u*d)")
+    for path, n in ((TPoly.const(palg, p), 3), (TPoly.of(palg, [rescaled, l0]), 3)):
+        sol = lax_solve(LaxProblem(p=path, l0=l0, n=n))
+        assert sol.lq == conjugation(sol.w, l0)
+        assert flow(p, sol.pq) == conjugation(sol.w, p)
+
+
+def test_flow_rejects_valuation_zero():
+    with pytest.raises(ValuationError):
+        flow(DIAG, QSeries.constant(M2, 2, NILP))
 
 
 def test_iterated_integral_valuations():

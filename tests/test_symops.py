@@ -28,6 +28,7 @@ from qlax import (
     lax_residual,
     lax_solve,
     mat_random,
+    parse_operator,
     residual_vanishes,
     symmetry2_residual,
     symmetry3_residual,
@@ -251,6 +252,65 @@ def test_transport_closed_form_matches_exp_ad_on_kdv():
             assert {len(b.terms) for b in sq.coeffs if b.terms} == {1}
 
 
+def assert_group_law(s0, s1, prob, probes):
+    """transport(S0 o S1) = transport(S0) o transport(S1) on the probes.
+
+    The left side flows the products of sides, the right side multiplies
+    the flows of the sides, so they agree only because the bracket with Pq
+    is a derivation.  The right side also reuses the solved Lq for a side
+    equal to L0.
+    """
+    sol = lax_solve(prob)
+    lhs = transport(s0 * s1, sol.pq)
+    rhs = transport(s0, sol.pq, sol.lq) * transport(s1, sol.pq, sol.lq)
+    for x in probes:
+        assert apply_to_probe(lhs, x) == apply_to_probe(rhs, x)
+
+
+def test_transport_group_law_on_matrices():
+    # the deformed symmetries form a group: transport is multiplicative
+    for nn in (2, 3):
+        alg = MatrixAlgebra(nn)
+        for n in range(1, 5):
+            prob = rand_problem(300 * nn + n, n=n, nn=nn, deg=min(n - 1, 1))
+            stream = int_stream(400 * nn + n)
+            s0, s1 = rand_biop(alg, stream), rand_biop(alg, stream)
+            assert_group_law(s0, s1, prob, alg.probes())
+            assert_group_law(BiOp.of(alg, [(prob.l0, alg.one)]), s1, prob, alg.probes())
+
+
+def test_transport_group_law_on_kdv():
+    l_op, p_op = kdv_pair()
+    palg = PsdoAlgebra()
+    one = PsdoSymbol.one()
+    probes = palg.probes() + [l_op, p_op]
+    u = parse_operator("u")
+    left, right = BiOp.of(palg, [(l_op, one)]), BiOp.of(palg, [(one, l_op)])
+    mixed = BiOp.of(palg, [(u, one), (one, u)])
+    for n in (1, 2, 3):
+        prob = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=n)
+        for s0, s1 in ((left, left), (left, right), (right, left), (right, right), (left, mixed), (mixed, right)):
+            assert_group_law(s0, s1, prob, probes)
+
+
+def test_transport_of_inverse_is_inverse():
+    # S0 = (a, b) with invertible sides has the inverse (a^-1, b^-1)
+    for nn in (2, 3):
+        alg = MatrixAlgebra(nn)
+        for n in range(1, 5):
+            prob = rand_problem(500 * nn + n, n=n, nn=nn, deg=min(n - 1, 1))
+            pq, _ = deform(prob.p, prob.n)
+            stream = int_stream(600 * nn + n)
+            a, b = (mat_random(nn, next(stream), 2) for _ in range(2))
+            while a.det() == 0 or b.det() == 0:
+                a, b = (mat_random(nn, next(stream), 2) for _ in range(2))
+            s0 = BiOp.of(alg, [(a, b)])
+            s0_inv = BiOp.of(alg, [(a.invert(), b.invert())])
+            composed = transport(s0_inv, pq) * transport(s0, pq)
+            for x in alg.probes():
+                assert apply_to_probe(composed, x) == QSeries.constant(alg, n, x)
+
+
 # -- residuals ----------------------------------------------------------------------
 
 def test_symmetry3_residual_zero_for_transport():
@@ -392,6 +452,22 @@ def test_transported_solution_rejects_perturbed_coefficient():
         start = lambda s: apply_series(s, sol.lq).coeffs[0]
         assert start(perturbed) == start(sq)
         assert not transported_solution_check(s0, prob, sol, perturbed)
+
+
+def test_transported_solution_rejects_wrong_lq():
+    # S0 = 0 carries every Lq to M = 0, so only the checks on Lq itself can
+    # reject a frozen Lq (wrong equation) or a shifted one (wrong start)
+    from qlax import LaxSolution
+
+    prob = rand_problem(79, n=3, nn=2)
+    sol = lax_solve(prob)
+    zero = BiOp.zero(M2)
+    sq = transport(zero, sol.pq)
+    assert transported_solution_check(zero, prob, sol, sq)
+    frozen = QSeries.constant(M2, prob.n, prob.l0)
+    shifted = sol.lq + QSeries.one(M2, prob.n)
+    for lq in (frozen, shifted):
+        assert not transported_solution_check(zero, prob, LaxSolution(lq=lq, pq=sol.pq), sq)
 
 
 def test_default_probes_shapes():
