@@ -7,8 +7,8 @@ deformed equation order by order in q through time-ordered exponentials,
 and verifies the results by recomputing every defining equation exactly.
 """
 
-from .algebra import Algebra, Rational, RationalAlgebra, TPoly, rational
-from .diffpoly import DiffPoly, DiffPolyAlgebra
+from .algebra import Algebra, TPoly, rational
+from .diffpoly import DiffPoly
 from .errors import (
     ParseError,
     PrecisionExhausted,
@@ -22,7 +22,6 @@ from .errors import (
 )
 from .expr import parse_diffpoly, parse_expr, parse_operator, render_operator
 from .laxflow import (
-    DeformResult,
     LaxProblem,
     LaxSolution,
     deform,
@@ -44,7 +43,7 @@ from .matrix import (
     mat_random,
 )
 from .psdo import KdvPair, PsdoAlgebra, PsdoSymbol, commutator, compose, kdv_pair
-from .qseries import QSeries, QSeriesAlgebra
+from .qseries import QSeries
 from .symops import (
     BiOp,
     BiOpAlgebra,
@@ -68,9 +67,7 @@ __all__ = [
     "BiOpAlgebra",
     "ConvergencePoint",
     "ConvergenceReport",
-    "DeformResult",
     "DiffPoly",
-    "DiffPolyAlgebra",
     "KdvPair",
     "LaxProblem",
     "LaxSolution",
@@ -81,11 +78,8 @@ __all__ = [
     "PsdoAlgebra",
     "PsdoSymbol",
     "QSeries",
-    "QSeriesAlgebra",
     "QlaxError",
     "RatMatrix",
-    "Rational",
-    "RationalAlgebra",
     "ShapeMismatch",
     "Singular",
     "TPoly",

@@ -4,13 +4,13 @@ Every scalar in the kernel is a ``fractions.Fraction``: arbitrary precision,
 stored in lowest terms with a positive denominator, so nothing ever rounds.
 
 An :class:`Algebra` value describes a unital associative algebra over the
-rationals.  It only has to supply ``zero``, ``one`` and rational scaling,
-and a backend also supplies its probe set.  The element values themselves
-implement ``+``, unary ``-``, ``*`` (possibly noncommutative), structural
-``==`` on canonical forms, ``to_json()`` and ``max_abs()``.  The generic
-containers ``QSeries`` and ``BiOp`` work over any such algebra and are
-themselves algebras, so a q-series of BiOps over matrices is one more
-instance of the same contract.
+rationals.  It only has to supply ``zero``, ``one`` and ``probes()``.  The
+element values themselves implement ``+``, unary ``-``, ``*`` (possibly
+noncommutative), ``scale(c)`` by an exact rational, ``is_zero()``,
+structural ``==`` on canonical forms, ``to_json()`` and ``max_abs()``.
+The generic containers ``QSeries`` and ``BiOp`` work over any such algebra
+and their values are elements in the same sense, so a q-series of BiOps
+over matrices is one more instance of the same contract.
 
 A path P(t) is given as a :class:`TPoly`, an exact polynomial in t.  Once
 deformed it becomes a q-series whose q^k coefficient carries a single,
@@ -25,11 +25,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
-
-Rational = Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -72,53 +67,14 @@ class Algebra(ABC):
     def one(self) -> Any:
         """The canonical multiplicative identity."""
 
-    def scale(self, c: int | Fraction, a: Any) -> Any:
-        """Multiply an element by an exact rational."""
-        return a.scale(rational(c))
-
-    def is_zero(self, a: Any) -> bool:
-        return a == self.zero
-
     def probes(self) -> list:
         """The standard probe set for extensional checks of linear maps on
         this algebra; each backend defines its own."""
         raise TypeError(f"no default probe set for {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class RationalAlgebra(Algebra):
-    """The rationals themselves, as the simplest (commutative) backend."""
-
-    @property
-    def zero(self) -> Fraction:
-        return _F0
-
-    @property
-    def one(self) -> Fraction:
-        return _F1
-
-    def scale(self, c: int | Fraction, a: Fraction) -> Fraction:
-        return rational(c) * a
-
-    def is_zero(self, a: Fraction) -> bool:
-        return a == 0
-
-
-def json_value(x: Any) -> Any:
-    """Render any kernel value as JSON-compatible data; rationals as strings."""
-    return str(x) if isinstance(x, Fraction) else x.to_json()
-
-
-def max_abs(x: Any) -> Fraction:
-    """A crude exact magnitude: the largest |rational| inside the value.
-    Zero exactly when the value is zero (for canonical backends)."""
-    return abs(x) if isinstance(x, Fraction) else x.max_abs()
-
-
 def algebra_of(x: Any) -> Algebra:
     """Recover the algebra descriptor an element belongs to."""
-    if isinstance(x, Fraction):
-        return RationalAlgebra()
     algebra = getattr(x, "algebra", None)
     if algebra is None:
         raise TypeError(f"{type(x).__name__} does not expose its algebra")
@@ -140,7 +96,7 @@ class TPoly:
 
     def __post_init__(self):
         cs = list(self.coeffs)
-        while cs and self.alg.is_zero(cs[-1]):
+        while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -174,12 +130,11 @@ class TPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        is_zero = self.alg.is_zero
         out = list(a)
         for k, c in enumerate(b):
-            if is_zero(c):
+            if c.is_zero():
                 continue
-            out[k] = c if is_zero(out[k]) else out[k] + c
+            out[k] = c if out[k].is_zero() else out[k] + c
         return TPoly(self.alg, tuple(out))
 
     def __mul__(self, other: "TPoly") -> "TPoly":
@@ -187,13 +142,12 @@ class TPoly:
         comes from self, so noncommutative coefficients keep their order."""
         if not self.coeffs or not other.coeffs:
             return TPoly(self.alg, ())
-        is_zero = self.alg.is_zero
         out: list = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
-            if is_zero(ci):
+            if ci.is_zero():
                 continue
             for j, dj in enumerate(other.coeffs):
-                if is_zero(dj):
+                if dj.is_zero():
                     continue
                 prod = ci * dj
                 out[i + j] = prod if out[i + j] is None else out[i + j] + prod

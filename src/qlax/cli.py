@@ -137,7 +137,7 @@ def _symmetry_probes(args: argparse.Namespace, pf) -> list:
     probes = pf.alg.probes()
     probes.append(pf.l0)
     for c in pf.p.coeffs:
-        if not pf.alg.is_zero(c) and c not in probes:
+        if not c.is_zero() and c not in probes:
             probes.append(c)
     if args.probe_set:
         probes.extend(load_probes(args.probe_set, pf.backend, pf.alg))

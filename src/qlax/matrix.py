@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 from .algebra import Algebra, rational
 from .errors import ShapeMismatch, Singular
-from .laxflow import LaxProblem, eval_tq, lax_solve
+from .laxflow import MAX_ORDER, LaxProblem, eval_tq, lax_solve
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -136,6 +136,9 @@ class RatMatrix:
         num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
         return _canonical(num, self.den * other.den)
 
+    def is_zero(self) -> bool:
+        return not any(map(any, self.num))
+
     def scale(self, c: Fraction) -> "RatMatrix":
         c = rational(c)
         p = c.numerator
@@ -213,9 +216,6 @@ class MatrixAlgebra(Algebra):
     def one(self) -> RatMatrix:
         return RatMatrix.identity(self.n)
 
-    def is_zero(self, a: RatMatrix) -> bool:
-        return not any(map(any, a.num))
-
     def probes(self) -> List[RatMatrix]:
         """All n*n matrix units, row by row: a spanning set, so extensional
         equality on them is true equality."""
@@ -268,6 +268,8 @@ def convergence_study(
     """
     if ref_n < prob.n + 2:
         raise ValueError(f"reference order {ref_n} must be >= n + 2 = {prob.n + 2}")
+    if ref_n > MAX_ORDER:
+        raise ValueError(f"reference order {ref_n} must be at most {MAX_ORDER}")
     sol = lax_solve(prob)
     ref = lax_solve(LaxProblem(p=prob.p, l0=prob.l0, n=ref_n))
     points: List[ConvergencePoint] = []

@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 from .algebra import Algebra, TPoly
 from .errors import ProblemFileError, QlaxError
-from .laxflow import LaxProblem
+from .laxflow import MAX_ORDER, LaxProblem
 from .matrix import MatrixAlgebra, RatMatrix
 from .psdo import PsdoAlgebra
 from .symops import BiOp
@@ -135,6 +135,8 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
         raise ProblemFileError("N", "missing (set N in the file or pass --qorder)")
     if not _is_int(n) or n < 1:
         raise ProblemFileError("N", f"must be an integer >= 1, got {n!r}")
+    if n > MAX_ORDER:
+        raise ProblemFileError("N", f"must be at most {MAX_ORDER}, got {n}")
 
     s0 = None
     if "S0" in doc:

@@ -175,9 +175,6 @@ class PsdoAlgebra(Algebra):
     def one(self) -> PsdoSymbol:
         return _PS_ONE
 
-    def is_zero(self, a: PsdoSymbol) -> bool:
-        return not a.terms and a.floor is None
-
     def probes(self) -> List[PsdoSymbol]:
         """A small cross-section of orders and coefficients; symmetry
         commands extend it with the problem's own L0 and P coefficients."""

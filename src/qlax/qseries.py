@@ -38,10 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
-from .algebra import Algebra, json_value, max_abs, rational
+from .algebra import Algebra, rational
 from .errors import TruncationMismatch, ValuationError
 
 
@@ -84,9 +83,6 @@ class QSeries:
         cs[k] = a
         return QSeries(alg, tuple(cs))
 
-    def algebra(self) -> "QSeriesAlgebra":
-        return QSeriesAlgebra(self.alg, self.trunc)
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -97,12 +93,12 @@ class QSeries:
         """q-valuation: smallest order with a nonzero coefficient,
         +inf for the zero series."""
         for k, c in enumerate(self.coeffs):
-            if not self.alg.is_zero(c):
+            if not c.is_zero():
                 return k
         return math.inf
 
     def is_zero(self) -> bool:
-        return all(self.alg.is_zero(c) for c in self.coeffs)
+        return all(c.is_zero() for c in self.coeffs)
 
     def _check(self, other: "QSeries") -> None:
         if self.trunc != other.trunc:
@@ -124,19 +120,14 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         self._check(other)
-        is_zero = self.alg.is_zero
         out = tuple(
-            b if is_zero(a) else (a if is_zero(b) else a + b)
+            b if a.is_zero() else (a if b.is_zero() else a + b)
             for a, b in zip(self.coeffs, other.coeffs)
         )
         return QSeries(self.alg, out)
 
     def __neg__(self) -> "QSeries":
-        is_zero = self.alg.is_zero
-        return QSeries(
-            self.alg,
-            tuple(c if is_zero(c) else self.alg.scale(-1, c) for c in self.coeffs),
-        )
+        return QSeries(self.alg, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -145,14 +136,13 @@ class QSeries:
         """Cauchy product cut at q^N; factor order preserved."""
         self._check(other)
         n = self.trunc
-        is_zero = self.alg.is_zero
         out: list = [None] * (n + 1)
         for i, ci in enumerate(self.coeffs):
-            if is_zero(ci):
+            if ci.is_zero():
                 continue
             for j in range(n + 1 - i):
                 dj = other.coeffs[j]
-                if is_zero(dj):
+                if dj.is_zero():
                     continue
                 prod = ci * dj
                 out[i + j] = prod if out[i + j] is None else out[i + j] + prod
@@ -161,35 +151,29 @@ class QSeries:
 
     def scale(self, c: Fraction) -> "QSeries":
         c = rational(c)
-        is_zero = self.alg.is_zero
-        return QSeries(
-            self.alg,
-            tuple(x if is_zero(x) else self.alg.scale(c, x) for x in self.coeffs),
-        )
+        return QSeries(self.alg, tuple(x.scale(c) for x in self.coeffs))
 
     # -- the group operations ------------------------------------------
 
     def _accumulate_powers(self, base: "QSeries", weight: Callable[[int], Fraction]) -> "QSeries":
         # sum_i weight(i) * base**i for i = 1..N on top of self's coefficients,
         # exploiting that base**i contributes nothing below q^i.
-        alg = self.alg
-        is_zero = alg.is_zero
         out = list(self.coeffs)
-        power = QSeries.one(alg, self.trunc)
+        power = QSeries.one(self.alg, self.trunc)
         for i in range(1, self.trunc + 1):
             power = power * base
             w = weight(i)
             for k in range(i, self.trunc + 1):
                 c = power.coeffs[k]
-                if is_zero(c):
+                if c.is_zero():
                     continue
-                c = alg.scale(w, c) if w != 1 else c
-                out[k] = c if is_zero(out[k]) else out[k] + c
-        return QSeries(alg, tuple(out))
+                c = c.scale(w) if w != 1 else c
+                out[k] = c if out[k].is_zero() else out[k] + c
+        return QSeries(self.alg, tuple(out))
 
     def exp(self) -> "QSeries":
         """Truncated exponential; requires valuation >= 1."""
-        if not self.alg.is_zero(self.coeffs[0]):
+        if not self.coeffs[0].is_zero():
             raise ValuationError("exp needs q-valuation >= 1 (zero q^0 coefficient)")
         fact = [1]
         for i in range(1, self.trunc + 1):
@@ -211,13 +195,12 @@ class QSeries:
         alg = self.alg
         if self.coeffs[0] != alg.one:
             raise ValuationError("unipotent inversion needs q^0 coefficient equal to 1")
-        is_zero = alg.is_zero
         c = self.coeffs
         v = [alg.one]
         for k in range(1, self.trunc + 1):
             acc = None
             for j in range(1, k + 1):
-                if is_zero(c[j]) or is_zero(v[k - j]):
+                if c[j].is_zero() or v[k - j].is_zero():
                     continue
                 prod = c[j] * v[k - j]
                 acc = prod if acc is None else acc + prod
@@ -225,35 +208,16 @@ class QSeries:
         return QSeries(alg, tuple(v))
 
     def to_json(self) -> dict:
-        return {"trunc": self.trunc, "coeffs": [json_value(c) for c in self.coeffs]}
+        return {"trunc": self.trunc, "coeffs": [c.to_json() for c in self.coeffs]}
 
     def max_abs(self) -> Fraction:
-        return max((max_abs(c) for c in self.coeffs), default=Fraction(0))
+        return max((c.max_abs() for c in self.coeffs), default=Fraction(0))
 
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
-            if self.alg.is_zero(c):
+            if c.is_zero():
                 continue
             qpow = "" if k == 0 else ("*q" if k == 1 else f"*q^{k}")
             parts.append(f"({c}){qpow}")
         return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class QSeriesAlgebra(Algebra):
-    """q-series of a fixed truncation order over a base algebra."""
-
-    base: Algebra
-    n: int
-
-    @cached_property
-    def zero(self) -> QSeries:
-        return QSeries.zero(self.base, self.n)
-
-    @cached_property
-    def one(self) -> QSeries:
-        return QSeries.one(self.base, self.n)
-
-    def is_zero(self, a: QSeries) -> bool:
-        return a.is_zero()

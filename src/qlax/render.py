@@ -14,16 +14,21 @@ from __future__ import annotations
 import json
 from typing import Any, List
 
-from .algebra import json_value, max_abs  # json_value: the CLI renders through this module
 from .qseries import QSeries
+
+
+def json_value(x: Any) -> Any:
+    """Any kernel value as JSON-compatible data; the CLI renders every
+    element through this one function."""
+    return x.to_json()
 
 
 def t_coeffs(series: QSeries, weight: int) -> List[list]:
     """Per q-order, the t-coefficients of c_k * t^(k-weight): k - weight
     zeros followed by c_k, or no entries when c_k is zero."""
-    alg = series.alg
+    zero = series.alg.zero
     return [
-        [] if alg.is_zero(c) else [alg.zero] * (k - weight) + [c]
+        [] if c.is_zero() else [zero] * (k - weight) + [c]
         for k, c in enumerate(series.coeffs)
     ]
 
@@ -47,14 +52,14 @@ def residual_report(residual: QSeries) -> dict:
     """Per q-order, per t-degree magnitudes of a residual series (weight 1)."""
     orders = []
     for k, row in enumerate(t_coeffs(residual, 1)):
-        norms = [max_abs(c) for c in row]
+        norms = [c.max_abs() for c in row]
         orders.append(
             {"q_order": k, "max_norm": str(max(norms, default=0)), "t_norms": [str(x) for x in norms]}
         )
     return {
         "schema": "qlax/residual/1",
         "zero": residual.is_zero(),
-        "lossy": False,  # kept for the schema: problems reject deg_t(P) > N - 1
+        "lossy": False,  # kept for the schema: deform never drops a term
         "orders": orders,
     }
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from .algebra import Algebra, algebra_of, json_value, max_abs, rational
+from .algebra import Algebra, algebra_of, rational
 from .laxflow import LaxProblem, LaxSolution, flow, lax_residual, texp
 from .qseries import QSeries
 
@@ -54,7 +54,7 @@ class BiOp:
 
     @staticmethod
     def of(alg: Algebra, pairs: Iterable[Tuple[Any, Any]]) -> "BiOp":
-        return BiOp(alg, _simplify(alg, tuple(pairs)))
+        return BiOp(alg, _simplify(tuple(pairs)))
 
     @staticmethod
     def identity(alg: Algebra) -> "BiOp":
@@ -85,7 +85,7 @@ class BiOp:
         return BiOp.of(self.alg, self.terms + other.terms)
 
     def __neg__(self) -> "BiOp":
-        return BiOp(self.alg, tuple((self.alg.scale(-1, l), r) for l, r in self.terms))
+        return BiOp(self.alg, tuple((-l, r) for l, r in self.terms))
 
     def __sub__(self, other: "BiOp") -> "BiOp":
         return self + (-other)
@@ -102,17 +102,17 @@ class BiOp:
         c = rational(c)
         if c == 0:
             return BiOp(self.alg, ())
-        return BiOp(self.alg, tuple((self.alg.scale(c, l), r) for l, r in self.terms))
+        return BiOp(self.alg, tuple((l.scale(c), r) for l, r in self.terms))
 
     def extensionally_equal(self, other: "BiOp", probes: Sequence[Any]) -> bool:
         """Equality of the denoted maps on a probe set."""
         return all(self.apply(x) == other.apply(x) for x in probes)
 
     def to_json(self) -> list:
-        return [{"left": json_value(l), "right": json_value(r)} for l, r in self.terms]
+        return [{"left": l.to_json(), "right": r.to_json()} for l, r in self.terms]
 
     def max_abs(self) -> Fraction:
-        return max((max(max_abs(l), max_abs(r)) for l, r in self.terms), default=Fraction(0))
+        return max((max(l.max_abs(), r.max_abs()) for l, r in self.terms), default=Fraction(0))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -120,13 +120,13 @@ class BiOp:
         return " + ".join(f"({l})*X*({r})" for l, r in self.terms)
 
 
-def _simplify(alg: Algebra, pairs: Tuple[Tuple[Any, Any], ...]) -> Tuple[Tuple[Any, Any], ...]:
+def _simplify(pairs: Tuple[Tuple[Any, Any], ...]) -> Tuple[Tuple[Any, Any], ...]:
     # Merge pairs sharing a left factor, then pairs sharing a right factor;
     # prune pairs with a zero side.  Purely structural compression: it never
     # changes the denoted map and keeps term lists from ballooning.
     by_left: dict[Any, Any] = {}
     for left, right in pairs:
-        if alg.is_zero(left) or alg.is_zero(right):
+        if left.is_zero() or right.is_zero():
             continue
         if left in by_left:
             by_left[left] = by_left[left] + right
@@ -134,13 +134,13 @@ def _simplify(alg: Algebra, pairs: Tuple[Tuple[Any, Any], ...]) -> Tuple[Tuple[A
             by_left[left] = right
     by_right: dict[Any, Any] = {}
     for left, right in by_left.items():
-        if alg.is_zero(right):
+        if right.is_zero():
             continue
         if right in by_right:
             by_right[right] = by_right[right] + left
         else:
             by_right[right] = left
-    return tuple((left, right) for right, left in by_right.items() if not alg.is_zero(left))
+    return tuple((left, right) for right, left in by_right.items() if not left.is_zero())
 
 
 @dataclass(frozen=True)
@@ -155,21 +155,18 @@ class BiOpAlgebra(Algebra):
     def one(self) -> BiOp:
         return BiOp.identity(self.base)
 
-    def is_zero(self, a: BiOp) -> bool:
-        return not a.terms
-
 
 def ad(p: Any, alg: Optional[Algebra] = None) -> BiOp:
     """The inner derivation X -> p*X - X*p as a two-term BiOp."""
     alg = alg or algebra_of(p)
-    return BiOp.of(alg, ((p, alg.one), (alg.scale(-1, alg.one), p)))
+    return BiOp.of(alg, ((p, alg.one), (-alg.one, p)))
 
 
 def lift_ad(pq: QSeries) -> QSeries:
     """Map every coefficient of a q-series over A to its inner derivation,
     giving a q-series of BiOps of the same weight."""
     base, balg = pq.alg, BiOpAlgebra(pq.alg)
-    return pq.map_coeffs(lambda c: balg.zero if base.is_zero(c) else ad(c, base), alg=balg)
+    return pq.map_coeffs(lambda c: balg.zero if c.is_zero() else ad(c, base), alg=balg)
 
 
 def exp_ad(pq: QSeries) -> QSeries:
@@ -198,14 +195,13 @@ def transport(s0: BiOp, pq: QSeries, lq: Optional[QSeries] = None) -> QSeries:
     for x in (x for pair in s0.terms for x in pair):
         if x not in flows:
             flows[x] = flow(x, pq)
-    is_zero = base.is_zero
     out = []
     for k in range(n + 1):
         pairs = []
         for left, right in s0.terms:
             ls, rs = flows[left].coeffs, flows[right].coeffs
             for k1 in range(k + 1):
-                if not (is_zero(ls[k1]) or is_zero(rs[k - k1])):
+                if not (ls[k1].is_zero() or rs[k - k1].is_zero()):
                     pairs.append((ls[k1], rs[k - k1]))
         out.append(BiOp.of(base, pairs))
     return QSeries(BiOpAlgebra(base), tuple(out))
@@ -229,7 +225,7 @@ def apply_series(sq: QSeries, xq: QSeries) -> QSeries:
             continue
         for j in range(n + 1 - i):
             x = xq.coeffs[j]
-            if not alg.is_zero(x):
+            if not x.is_zero():
                 out[i + j] = out[i + j] + bop.apply(x)
     return QSeries(alg, tuple(out))
 

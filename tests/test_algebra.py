@@ -13,7 +13,6 @@ from qlax import (
     MatrixAlgebra,
     QSeries,
     RatMatrix,
-    RationalAlgebra,
     TPoly,
     ValuationError,
     dt_series,
@@ -24,7 +23,7 @@ from qlax import (
 
 from conftest import matrices, small_fractions
 
-RAT = RationalAlgebra()
+M1 = MatrixAlgebra(1)  # the rationals, as 1x1 matrices
 M2 = MatrixAlgebra(2)
 
 
@@ -46,13 +45,17 @@ def test_rational_rejects_inexact():
         rational("3/0")  # not a positive-denominator literal
 
 
+def scalar(c) -> RatMatrix:
+    return RatMatrix.of([[c]])
+
+
 def rat_poly(*coeffs) -> TPoly:
-    return TPoly.of(RAT, [Fraction(c) for c in coeffs])
+    return TPoly.of(M1, [scalar(c) for c in coeffs])
 
 
 def test_canonical_strips_trailing_zeros():
-    assert TPoly.of(RAT, [Fraction(1), Fraction(0), Fraction(0)]) == rat_poly(1)
-    assert TPoly.of(RAT, [Fraction(0)]) == TPoly.of(RAT, [])
+    assert TPoly.of(M1, [M1.one, M1.zero, M1.zero]) == rat_poly(1)
+    assert TPoly.of(M1, [M1.zero]) == TPoly.of(M1, [])
     assert rat_poly().degree == -1
 
 
@@ -105,7 +108,7 @@ def test_eval_examples():
     assert eval_tq(QSeries.of(M2, [a, b]), 3, Fraction(1, 6)) == a + b.scale(Fraction(1, 2))
 
 
-rat_polys = st.lists(small_fractions, max_size=5).map(lambda cs: TPoly.of(RAT, cs))
+rat_polys = st.lists(small_fractions, max_size=5).map(lambda cs: rat_poly(*cs))
 
 
 @given(rat_polys, rat_polys, rat_polys)
@@ -126,10 +129,10 @@ def test_mul_associative_matrix(ca, cb, cc):
 
 @given(st.lists(small_fractions, min_size=1, max_size=5))
 def test_fundamental_theorem(cs):
-    s = QSeries.of(RAT, [Fraction(0)] + cs)  # weight 1
+    s = QSeries.of(M1, [scalar(c) for c in [0] + cs])  # weight 1
     assert dt_series(integrate_series(s)) == s
-    p = QSeries.of(RAT, cs)  # weight 0
-    assert integrate_series(dt_series(p)) == p - QSeries.constant(RAT, p.trunc, eval_tq(p, 0, 1))
+    p = QSeries.of(M1, [scalar(c) for c in cs])  # weight 0
+    assert integrate_series(dt_series(p)) == p - QSeries.constant(M1, p.trunc, eval_tq(p, 0, 1))
 
 
 def padded(cs, n):
@@ -146,15 +149,15 @@ def test_eval_multiplicative_noncommutative(ca, cb, t0):
 
 def test_element_protocol_nests():
     from qlax import BiOp, BiOpAlgebra, DiffPoly, PsdoSymbol
-    from qlax.algebra import json_value, max_abs
-    from qlax.render import series_json
+    from qlax.render import json_value, series_json
 
     a = RatMatrix.of([[1, "-7/2"], [0, 3]])
     dp = DiffPoly.u(1).scale(Fraction(-5))
     sym = PsdoSymbol.from_dp(dp)
     series = QSeries.of(M2, [M2.one, a])
     pair = BiOp.of(M2, [(a, M2.one)])
-    assert json_value(Fraction(-1, 3)) == "-1/3"
+    third = scalar("-1/3")
+    assert json_value(third) == [["-1/3"]]
     assert json_value(dp) == "-5*u_1"
     assert json_value(sym) == {"terms": [{"order": 0, "coeff": "-5*u_1"}], "floor": "exact"}
     assert json_value(series) == {"trunc": 1, "coeffs": [M2.one.to_json(), a.to_json()]}
@@ -166,7 +169,7 @@ def test_element_protocol_nests():
     assert json_value(pair) == [{"left": a.to_json(), "right": M2.one.to_json()}]
     nested = QSeries.of(BiOpAlgebra(M2), [pair])
     assert json_value(nested) == {"trunc": 0, "coeffs": [json_value(pair)]}
-    assert [max_abs(x) for x in (Fraction(-1, 3), dp, sym, a, series, pair, nested)] == [
+    assert [x.max_abs() for x in (third, dp, sym, a, series, pair, nested)] == [
         Fraction(1, 3), 5, 5, Fraction(7, 2), Fraction(7, 2), Fraction(7, 2), Fraction(7, 2),
     ]
-    assert max_abs(QSeries.zero(M2, 1)) == 0 and max_abs(BiOp.zero(M2)) == 0
+    assert QSeries.zero(M2, 1).max_abs() == 0 and BiOp.zero(M2).max_abs() == 0

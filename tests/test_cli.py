@@ -320,6 +320,27 @@ def test_large_powers_exit_2_quickly(tmp_path, capsys):
         assert message in err
 
 
+def test_huge_truncation_order_exits_2_quickly(tmp_path, capsys):
+    import time
+
+    base = json.loads((PROBLEMS / "nilpotent2x2_n2.json").read_text())
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({**base, "N": 10 ** 9}))
+    unset = tmp_path / "unset.json"
+    unset.write_text(json.dumps({k: v for k, v in base.items() if k != "N"}))
+    mat = str(PROBLEMS / "matrix3x3_n2.json")
+    for argv, message in (
+        (("lax-solve", str(huge)), "field 'N'"),
+        (("lax-solve", str(unset), "--qorder", str(10 ** 9)), "field 'N'"),
+        (("convergence", mat, "--refN", str(10 ** 9)), "refN"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 def test_depth_and_seed_are_not_options(capsys):
     for option in ("--depth", "--seed"):
         with pytest.raises(SystemExit) as exit_info:

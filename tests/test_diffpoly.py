@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from qlax import DiffPoly, DiffPolyAlgebra, UnboundIdentifier, parse_diffpoly
+from qlax import DiffPoly, UnboundIdentifier, parse_diffpoly
 
 from conftest import diffpolys
 
@@ -68,10 +68,3 @@ def test_text_deterministic_order():
     assert p.text() == "6*u*u_1 - u_3"
     assert str(U ** 2 - U1 ** 2) == "u^2 - u_1^2"
     assert DiffPoly.zero().text() == "0"
-
-
-def test_algebra_contract():
-    alg = DiffPolyAlgebra()
-    assert alg.zero.is_zero()
-    assert alg.one == DiffPoly.const(1)
-    assert alg.scale(Fraction(1, 2), U) == U.scale(Fraction(1, 2))

@@ -1,7 +1,5 @@
 """Error paths and input validation across the kernel."""
 
-from fractions import Fraction
-
 import pytest
 
 from qlax import (
@@ -9,9 +7,7 @@ from qlax import (
     MatrixAlgebra,
     PsdoAlgebra,
     QSeries,
-    QSeriesAlgebra,
     RatMatrix,
-    RationalAlgebra,
     TPoly,
     TruncationMismatch,
     deform,
@@ -56,9 +52,7 @@ def test_jet_index_must_be_nonnegative():
 
 
 def test_algebra_of_dispatch():
-    assert algebra_of(Fraction(1, 2)) == RationalAlgebra()
     assert algebra_of(M2.one) == M2
-    assert algebra_of(QSeries.one(M2, 2)) == QSeriesAlgebra(M2, 2)
     assert algebra_of(BiOp.identity(M2)) == BiOpAlgebra(M2)
     assert algebra_of(PsdoAlgebra().one) == PsdoAlgebra()
     with pytest.raises(TypeError):
@@ -66,8 +60,8 @@ def test_algebra_of_dispatch():
 
 
 def test_series_mismatch_surfaces_in_flows():
-    pq2, _ = deform(TPoly.const(M2, RatMatrix.of([[0, 1], [0, 0]])), 2)
-    pq3, _ = deform(TPoly.const(M2, RatMatrix.of([[0, 1], [0, 0]])), 3)
+    pq2 = deform(TPoly.const(M2, RatMatrix.of([[0, 1], [0, 0]])), 2)
+    pq3 = deform(TPoly.const(M2, RatMatrix.of([[0, 1], [0, 0]])), 3)
     lq = QSeries.constant(M2, 3, M2.one)
     with pytest.raises(TruncationMismatch):
         lax_residual(lq, pq2)

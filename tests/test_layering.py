@@ -47,3 +47,18 @@ def test_kernel_series_hold_no_t_polynomials():
 def test_t_coefficients_are_spelled_out_only_in_render():
     modules = [path.stem for path in Path(qlax.__file__).parent.glob("*.py")]
     assert [name for name in modules if "t_coeffs" in source(name)] == ["render"]
+
+
+def test_descriptors_leave_arithmetic_to_elements():
+    # a descriptor supplies zero, one and probes(); every element scales,
+    # tests itself for zero and renders itself
+    def subclasses(cls):
+        return [cls] + [s for sub in cls.__subclasses__() for s in subclasses(sub)]
+
+    descriptors = [c for c in subclasses(qlax.Algebra) if c.__module__.startswith("qlax")]
+    assert {c.__name__ for c in descriptors} >= {"Algebra", "MatrixAlgebra", "PsdoAlgebra", "BiOpAlgebra"}
+    for cls in descriptors:
+        assert not {"is_zero", "scale"} & set(vars(cls)), cls.__name__
+    for cls in (qlax.RatMatrix, qlax.PsdoSymbol, qlax.BiOp, qlax.QSeries, qlax.DiffPoly):
+        for name in ("is_zero", "scale", "to_json", "max_abs"):
+            assert name in vars(cls), (cls.__name__, name)
