@@ -20,7 +20,7 @@ from .errors import (
     UnboundIdentifier,
     ValuationError,
 )
-from .expr import parse_diffpoly, parse_expr, parse_operator, render_operator
+from .expr import parse_diffpoly, parse_operator, render_operator
 from .laxflow import (
     LaxProblem,
     LaxSolution,
@@ -105,7 +105,6 @@ __all__ = [
     "lift_ad",
     "mat_random",
     "parse_diffpoly",
-    "parse_expr",
     "parse_operator",
     "rational",
     "render_operator",

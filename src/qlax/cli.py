@@ -23,7 +23,7 @@ from typing import List, Optional
 from .algebra import rational
 from .diffpoly import DiffPoly
 from .errors import ProblemFileError, QlaxError
-from .laxflow import dt_series, lax_residual, lax_solve
+from .laxflow import MAX_ORDER, dt_series, lax_residual, lax_solve
 from .matrix import convergence_study
 from .psdo import PsdoSymbol, commutator, kdv_pair
 from .problemfile import load_probes, load_problem_file
@@ -183,7 +183,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     if pf.backend != "matrix":
         raise ProblemFileError("backend", "the convergence study needs the matrix backend")
     prob = pf.lax_problem()
-    ref_n = args.refN if args.refN is not None else prob.n + 6
+    ref_n = min(prob.n + 6, MAX_ORDER) if args.refN is None else args.refN
+    if args.refN is None and ref_n < prob.n + 2:
+        raise ProblemFileError("N", f"must be at most {MAX_ORDER - 2} for the convergence study, got {prob.n}")
     qs = [rational(q) for q in (args.q or ["1/8", "1/16"])]
     try:
         report = convergence_study(prob, qs, ref_n)
@@ -206,13 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (QLAX_FORMAT overrides)",
     )
-    common.add_argument(
+    solving = argparse.ArgumentParser(add_help=False, parents=[common])
+    solving.add_argument(
         "--qorder", type=int, default=2, metavar="N",
         help="default q-truncation order for problem files without N",
-    )
-    common.add_argument(
-        "--probe-set", metavar="PATH", default=None,
-        help="JSON file with extra probe elements for symmetry checks",
     )
 
     parser = argparse.ArgumentParser(
@@ -233,18 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_kdv_verify)
 
-    p = sub.add_parser("lax-solve", parents=[common], help="solve a problem file and check the residual")
+    p = sub.add_parser("lax-solve", parents=[solving], help="solve a problem file and check the residual")
     p.add_argument("problem", help="path to a problem JSON file")
     p.set_defaults(func=cmd_lax_solve)
 
-    p = sub.add_parser("symmetry", parents=[common], help="transport S0 and run the symmetry checks")
+    p = sub.add_parser("symmetry", parents=[solving], help="transport S0 and run the symmetry checks")
     p.add_argument("problem", help="path to a problem JSON file with S0")
+    p.add_argument(
+        "--probe-set", metavar="PATH", default=None,
+        help="JSON file with extra probe elements for the symmetry checks",
+    )
     p.set_defaults(func=cmd_symmetry)
 
-    p = sub.add_parser("convergence", parents=[common], help="truncation-error study (matrix backend)")
+    p = sub.add_parser("convergence", parents=[solving], help="truncation-error study (matrix backend)")
     p.add_argument("problem", help="path to a matrix problem JSON file")
     p.add_argument("--q", action="append", type=rational, metavar="Q", help="evaluation point (repeatable; default 1/8, 1/16)")
-    p.add_argument("--refN", type=int, default=None, help="reference truncation order (default N+6)")
+    p.add_argument("--refN", type=int, default=None, help=f"reference truncation order (default N+6, at most {MAX_ORDER})")
     p.set_defaults(func=cmd_convergence)
 
     return parser

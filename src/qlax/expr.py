@@ -14,8 +14,10 @@ symbol composition, so ``d*u`` denotes u*d + u_1 as an operator.  Only
 nonnegative powers of ``d`` are denotable: every well-formed expression
 elaborates to an exact differential-operator symbol.
 
-The same syntax trees also elaborate into plain differential polynomials
-(used for coefficients); there ``d`` is rejected as unbound.
+The parser elaborates as it goes, into a symbol or into a plain
+differential polynomial (used for coefficients), where ``d`` is rejected
+as unbound.  Sums and products are parsed by loops, so a long flat sum
+does not recurse; only nesting depth is limited.
 
 ``render_operator`` produces text that reparses to an equal symbol while its
 powers stay within MAX_POWER, e.g. ``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
@@ -23,9 +25,10 @@ powers stay within MAX_POWER, e.g. ``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NoReturn, Tuple, Union
+from typing import List, NoReturn, Tuple
 
 from .diffpoly import DiffPoly, mono_text
 from .errors import ParseError, UnboundIdentifier
@@ -95,66 +98,15 @@ def _tokenize(source: str) -> List[Token]:
     return tokens
 
 
-# -- syntax trees --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Jet:
-    index: int
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Deriv:
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    line: int
-    column: int
-
-
-Node = Union[Lit, Jet, Deriv, Neg, Add, Sub, Mul, Pow]
-
+# -- parsing and elaboration ------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    """Recursive descent that returns each rule's value in ``target`` (see _OPERATOR)."""
+
+    def __init__(self, tokens: List[Token], target: tuple):
         self.tokens = tokens
         self.pos = 0
+        self.lit, self.jet, self.d, self.add, self.sub, self.neg, self.mul, self.pow = target
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -174,40 +126,38 @@ class _Parser:
             )
         return self.next()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self):
+        value = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
-        return node
+        return value
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self):
+        value = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+            op = self.add if self.next().kind == "+" else self.sub
+            value = op(value, self.term())
+        return value
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self):
+        value = self.factor()
         while self.peek().kind == "*":
             self.next()
-            node = Mul(node, self.factor())
-        return node
+            value = self.mul(value, self.factor())
+        return value
 
-    def factor(self) -> Node:
+    def factor(self):
         if self.peek().kind == "-":
             self.next()
-            return Neg(self.factor())
-        node = self.atom()
+            return self.neg(self.factor())
+        value = self.atom()
         if self.peek().kind == "^":
             self.next()
-            tok = self.expect("int")
-            node = Pow(node, int(tok.text), tok.line, tok.column)
-        return node
+            value = self.pow(value, self.expect("int"))
+        return value
 
-    def atom(self) -> Node:
+    def atom(self):
         tok = self.peek()
         if tok.kind == "int":
             self.next()
@@ -218,31 +168,24 @@ class _Parser:
                 if int(den.text) == 0:
                     raise ParseError("denominator must be positive", den.line, den.column)
                 value = Fraction(int(tok.text), int(den.text))
-            return Lit(value, tok.line, tok.column)
+            return self.lit(value)
         if tok.kind == "jet":
             self.next()
-            return Jet(int(tok.text), tok.line, tok.column)
+            return self.jet(int(tok.text))
         if tok.kind == "d":
             self.next()
-            return Deriv(tok.line, tok.column)
+            return self.d(tok)
         if tok.kind == "(":
             self.next()
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
-            return node
+            return value
         raise ParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
             tok.line,
             tok.column,
         )
 
-
-def parse_expr(text: str) -> Node:
-    """Parse DSL text into a syntax tree; errors carry line and column."""
-    return _Parser(_tokenize(text)).parse()
-
-
-# -- elaboration ---------------------------------------------------------
 
 # Elaborating x^n takes n products, and the terms of (d+u)^n grow so fast
 # that (d+u)^16 takes about 0.4 s, (d+u)^24 about 2 s and (d+u)^32 about
@@ -251,47 +194,44 @@ def parse_expr(text: str) -> Node:
 MAX_POWER = 24
 
 
-def _check_powers(node: Node, text: str, outer: int = 1) -> None:
-    if isinstance(node, Pow):
-        outer *= max(node.exponent, 1)
-        if outer > MAX_POWER:
-            raise ParseError(
-                f"power too large in {text!r}: nested exponents multiply to {outer}, above {MAX_POWER}",
-                node.line,
-                node.column,
-            )
-    for child in vars(node).values():
-        if isinstance(child, (Neg, Add, Sub, Mul, Pow)):
-            _check_powers(child, text, outer)
+def _records(*parts: list) -> list:
+    # (product, token) pairs in pre-order.  Any enclosing power scales a
+    # power and the ones before it alike, so one whose product does not beat
+    # every earlier one is never the first above MAX_POWER.  Keeping only the
+    # records up to that first one (at most 25) keeps the pass linear.
+    kept: list = []
+    for part in parts:
+        for power in part:
+            if not kept or kept[-1][0] < power[0] and kept[-1][0] <= MAX_POWER:
+                kept.append(power)
+    return kept
 
 
-def _unbound_d(node: Deriv) -> NoReturn:
-    raise UnboundIdentifier("'d' does not denote a differential polynomial", node.line, node.column)
+def _scaled(base: list, tok: Token) -> list:
+    n = max(int(tok.text), 1)
+    return _records([(n, tok)], [(product * n, t) for product, t in base])
 
 
-# How each target denotes a literal, a jet variable, d and a product.
-_OPERATOR = (PsdoSymbol.const, lambda j: PsdoSymbol.from_dp(DiffPoly.u(j)), lambda _: PsdoSymbol.xi(1), compose)
-_DIFFPOLY = (DiffPoly.const, DiffPoly.u, _unbound_d, lambda a, b: a * b)
+def _power(base, tok: Token):
+    return base ** int(tok.text)
 
 
-def _value(node: Node, target: tuple):
-    lit, jet, deriv, mul = target
-    if isinstance(node, Lit):
-        return lit(node.value)
-    if isinstance(node, Jet):
-        return jet(node.index)
-    if isinstance(node, Deriv):
-        return deriv(node)
-    if isinstance(node, Neg):
-        return -_value(node.arg, target)
-    if isinstance(node, Pow):
-        return _value(node.base, target) ** node.exponent
-    left, right = _value(node.left, target), _value(node.right, target)
-    if isinstance(node, Add):
-        return left + right
-    if isinstance(node, Sub):
-        return left - right
-    return mul(left, right)
+def _unbound_d(tok: Token) -> NoReturn:
+    raise UnboundIdentifier("'d' does not denote a differential polynomial", tok.line, tok.column)
+
+
+# How each target denotes a literal, a jet variable, d, a sum, a
+# difference, a negation, a product and a power; d and a power receive
+# their token, so errors keep line and column.  A _POWERS value lists the
+# powers in pre-order with the product of the exponents on their paths.
+_OPERATOR = (
+    PsdoSymbol.const, lambda j: PsdoSymbol.from_dp(DiffPoly.u(j)), lambda _: PsdoSymbol.xi(1),
+    operator.add, operator.sub, operator.neg, compose, _power,
+)
+_DIFFPOLY = (
+    DiffPoly.const, DiffPoly.u, _unbound_d, operator.add, operator.sub, operator.neg, operator.mul, _power,
+)
+_POWERS = (lambda _: [], lambda _: [], lambda _: [], _records, _records, lambda p: p, _records, _scaled)
 
 
 def parse_operator(text: str) -> PsdoSymbol:
@@ -305,12 +245,18 @@ def parse_diffpoly(text: str) -> DiffPoly:
 
 
 def _elaborate(text: str, target: tuple):
-    # Parsing and elaboration recurse once per nesting level and once per
-    # binary operator, so deep brackets and long flat sums both end here.
+    # The powers are bounded before anything is elaborated.  Sums and
+    # products are loops, so only nesting recurses: deep brackets end here.
     try:
-        node = parse_expr(text)
-        _check_powers(node, text)
-        return _value(node, target)
+        tokens = _tokenize(text)
+        for product, tok in _Parser(tokens, _POWERS).parse():
+            if product > MAX_POWER:
+                raise ParseError(
+                    f"power too large in {text!r}: nested exponents multiply to {product}, above {MAX_POWER}",
+                    tok.line,
+                    tok.column,
+                )
+        return _Parser(tokens, target).parse()
     except RecursionError:
         raise ParseError("expression nested too deeply", 1, 1) from None
 

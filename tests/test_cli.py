@@ -279,9 +279,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
     deep = "(" * 5000 + "u" + ")" * 5000
-    flat = "+".join(["u"] * 3000)
-    psdo = tmp_path / "flat.json"
-    psdo.write_text(json.dumps({"backend": "psdo", "L0": flat, "P": [[0, "d"]], "N": 1}))
+    psdo = tmp_path / "deep.json"
+    psdo.write_text(json.dumps({"backend": "psdo", "L0": deep, "P": [[0, "d"]], "N": 1}))
     sym = str(PROBLEMS / "matrix_symmetry_n3.json")
     mat = str(PROBLEMS / "matrix3x3_n2.json")
     cases = [
@@ -290,7 +289,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
         (("symmetry", sym, "--probe-set", str(latin1)), "'probes'"),
         (("symmetry", sym, "--probe-set", str(nested)), "'probes'"),
         (("commutator", deep, "u"), "nested too deeply"),
-        (("commutator", "u", flat), "nested too deeply"),
+        (("commutator", "u", deep), "nested too deeply"),
         (("lax-solve", str(psdo)), "'L0'"),
         (("convergence", mat, "--refN", "3"), "refN"),
         (("convergence", mat, "--refN", "-5"), "refN"),
@@ -301,6 +300,18 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
         assert not out
         assert message in err
         assert "Traceback" not in err
+
+
+def test_long_flat_sums_elaborate(tmp_path, capsys):
+    # sums are parsed by a loop, so only nesting depth is limited
+    from qlax import parse_diffpoly, parse_operator
+
+    flat = "+".join(["u"] * 3000)
+    assert parse_operator(flat) == parse_operator("3000*u")
+    psdo = tmp_path / "flat.json"
+    psdo.write_text(json.dumps({"backend": "psdo", "L0": flat, "P": [[0, "d"]], "N": 1}))
+    assert run(capsys, "lax-solve", str(psdo))[0] == 0
+    assert parse_diffpoly("+".join(["u^2"] * 20_000)) == parse_diffpoly("20000*u^2")
 
 
 def test_large_powers_exit_2_quickly(tmp_path, capsys):
@@ -339,6 +350,26 @@ def test_huge_truncation_order_exits_2_quickly(tmp_path, capsys):
         assert time.monotonic() - start < 1.0
         assert (code, out) == (2, "")
         assert message in err
+
+
+def test_options_belong_to_the_commands_that_read_them(tmp_path, capsys):
+    # --qorder is read only where a problem file is solved, --probe-set only by symmetry
+    probes = tmp_path / "missing.json"
+    nil = str(PROBLEMS / "nilpotent2x2_n2.json")
+    for argv in (
+        ("commutator", "d", "u", "--qorder", "3"),
+        ("kdv-verify", "--qorder", "3"),
+        ("commutator", "d", "u", "--probe-set", str(probes)),
+        ("kdv-verify", "--probe-set", str(probes)),
+        ("lax-solve", nil, "--probe-set", str(probes)),
+        ("convergence", nil, "--probe-set", str(probes)),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2, argv
+        assert argv[-2] in capsys.readouterr().err
+    for command in ("lax-solve", "symmetry", "convergence"):
+        assert run(capsys, command, str(PROBLEMS / "matrix_symmetry_n3.json"), "--qorder", "3")[0] == 0
 
 
 def test_depth_and_seed_are_not_options(capsys):
@@ -454,6 +485,23 @@ def test_convergence_nilpotent_zero_error(capsys):
     )
     assert code == 0
     assert doc["points"][0]["error"] == 0.0
+
+
+def test_convergence_default_reference_order_stays_bounded(tmp_path, capsys):
+    # the default refN is N + 6 capped at MAX_ORDER; below N + 2 the error names N
+    path = tmp_path / "scalar.json"
+    for n, code in ((laxflow.MAX_ORDER - 4, 0), (laxflow.MAX_ORDER - 1, 2)):
+        path.write_text(json.dumps({"backend": "matrix", "L0": [["1"]], "P": [[0, [["1"]]]], "N": n}))
+        status, doc, err = run(capsys, "convergence", str(path), "--format", "json")
+        assert status == code, err
+        if code == 0:
+            assert json.loads(doc)["refN"] == laxflow.MAX_ORDER
+        else:
+            assert "field 'N'" in err and "refN" not in err
+
+
+def test_problem_schema_bounds_n_like_the_loader():
+    assert load_schema("problem.schema.json")["properties"]["N"]["maximum"] == laxflow.MAX_ORDER
 
 
 def test_convergence_rejects_psdo(capsys):

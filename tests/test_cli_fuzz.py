@@ -84,19 +84,20 @@ def as_bytes(docs):
 
 
 RATIONALS = ("1", "-1/10", "1/3", "0", "-3", "0.5", "2/0", "x")
-COMMON = (
-    st.tuples(st.just("--format"), st.sampled_from(["text", "json", "yaml"])),
-    st.tuples(st.just("--qorder"), st.sampled_from(["-1", "0", "1", "2", "3", "x"])),
-    st.tuples(st.just("--probe-set"), st.just("PROBES")),
-)
+COMMON = (st.tuples(st.just("--format"), st.sampled_from(["text", "json", "yaml"])),)
+QORDER = st.tuples(st.just("--qorder"), st.sampled_from(["-1", "0", "1", "2", "3", "x"]))
+PROBE_SET = st.tuples(st.just("--probe-set"), st.just("PROBES"))
 OWN = {
     "kdv-verify": (st.tuples(st.just("--perturb"), st.sampled_from(RATIONALS)),),
+    "lax-solve": (QORDER,),
+    "symmetry": (QORDER, PROBE_SET),
     "convergence": (
+        QORDER,
         st.tuples(st.just("--refN"), st.sampled_from(["-5", "0", "3", "4", "6", "x"])),
         st.tuples(st.just("--q"), st.sampled_from(RATIONALS)),
     ),
 }
-ANY_OPTION = pick(*COMMON, *OWN["kdv-verify"], *OWN["convergence"])
+ANY_OPTION = pick(*COMMON, QORDER, PROBE_SET, *OWN["kdv-verify"], *OWN["convergence"][1:])
 
 
 @st.composite

@@ -62,3 +62,10 @@ def test_descriptors_leave_arithmetic_to_elements():
     for cls in (qlax.RatMatrix, qlax.PsdoSymbol, qlax.BiOp, qlax.QSeries, qlax.DiffPoly):
         for name in ("is_zero", "scale", "to_json", "max_abs"):
             assert name in vars(cls), (cls.__name__, name)
+
+
+def test_expr_parser_elaborates_without_a_syntax_tree():
+    text = source("expr")
+    classes = [node.name for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)]
+    assert classes == ["Token", "_Parser"]
+    assert "isinstance" not in text
