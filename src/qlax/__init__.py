@@ -10,6 +10,7 @@ and verifies the results by recomputing every defining equation exactly.
 from .algebra import Algebra, TPoly, rational
 from .diffpoly import DiffPoly
 from .errors import (
+    DegreeOverflow,
     ParseError,
     PrecisionExhausted,
     ProblemFileError,
@@ -67,6 +68,7 @@ __all__ = [
     "BiOpAlgebra",
     "ConvergencePoint",
     "ConvergenceReport",
+    "DegreeOverflow",
     "DiffPoly",
     "KdvPair",
     "LaxProblem",

@@ -31,6 +31,11 @@ class PrecisionExhausted(QlaxError):
     working floor."""
 
 
+class DegreeOverflow(QlaxError):
+    """A product of differential polynomials would pass the largest degree
+    a packed monomial holds (``diffpoly.MAX_DEGREE``)."""
+
+
 class Singular(QlaxError):
     """Attempt to invert a singular matrix."""
 

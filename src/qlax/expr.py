@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NoReturn, Tuple
 
-from .diffpoly import DiffPoly, mono_text
+from .diffpoly import MAX_JET, DiffPoly
 from .errors import ParseError, UnboundIdentifier
 from .psdo import PsdoSymbol, compose
 
@@ -82,6 +82,8 @@ def _tokenize(source: str) -> List[Token]:
             elif word == "u":
                 tokens.append(Token("jet", "0", line, start_col))
             elif word.startswith("u_") and word[2:].isdigit():
+                if int(word[2:]) > MAX_JET:
+                    raise ParseError(f"jet index too large in {word!r}: above {MAX_JET}", line, start_col)
                 tokens.append(Token("jet", word[2:], line, start_col))
             else:
                 raise UnboundIdentifier(f"unknown identifier {word!r}", line, start_col)
@@ -190,7 +192,9 @@ class _Parser:
 # Elaborating x^n takes n products, and the terms of (d+u)^n grow so fast
 # that (d+u)^16 takes about 0.4 s, (d+u)^24 about 2 s and (d+u)^32 about
 # 15 s.  So the exponents on any path through nested powers (a zero
-# exponent counts as 1) may multiply to at most 24.
+# exponent counts as 1) may multiply to at most 24, and so may the degree
+# the expression elaborates to, where a literal has degree 0, u_j and d
+# degree 1, a product adds, a sum takes the max and a power multiplies.
 MAX_POWER = 24
 
 
@@ -207,9 +211,23 @@ def _records(*parts: list) -> list:
     return kept
 
 
-def _scaled(base: list, tok: Token) -> list:
-    n = max(int(tok.text), 1)
-    return _records([(n, tok)], [(product * n, t) for product, t in base])
+def _degree(degree: int) -> int:
+    # Past MAX_POWER only "too large" matters, so the count stays small.
+    return min(degree, MAX_POWER + 1)
+
+
+def _sum(a: tuple, b: tuple) -> tuple:
+    return max(a[0], b[0]), _records(a[1], b[1])
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    return _degree(a[0] + b[0]), _records(a[1], b[1])
+
+
+def _scaled(base: tuple, tok: Token) -> tuple:
+    n = int(tok.text)
+    m = max(n, 1)
+    return _degree(base[0] * n), _records([(m, tok)], [(product * m, t) for product, t in base[1]])
 
 
 def _power(base, tok: Token):
@@ -222,8 +240,9 @@ def _unbound_d(tok: Token) -> NoReturn:
 
 # How each target denotes a literal, a jet variable, d, a sum, a
 # difference, a negation, a product and a power; d and a power receive
-# their token, so errors keep line and column.  A _POWERS value lists the
-# powers in pre-order with the product of the exponents on their paths.
+# their token, so errors keep line and column.  A _POWERS value is the
+# degree and the powers in pre-order with the product of the exponents on
+# their paths.
 _OPERATOR = (
     PsdoSymbol.const, lambda j: PsdoSymbol.from_dp(DiffPoly.u(j)), lambda _: PsdoSymbol.xi(1),
     operator.add, operator.sub, operator.neg, compose, _power,
@@ -231,7 +250,7 @@ _OPERATOR = (
 _DIFFPOLY = (
     DiffPoly.const, DiffPoly.u, _unbound_d, operator.add, operator.sub, operator.neg, operator.mul, _power,
 )
-_POWERS = (lambda _: [], lambda _: [], lambda _: [], _records, _records, lambda p: p, _records, _scaled)
+_POWERS = (lambda _: (0, []), lambda _: (1, []), lambda _: (1, []), _sum, _sum, lambda p: p, _product, _scaled)
 
 
 def parse_operator(text: str) -> PsdoSymbol:
@@ -245,17 +264,20 @@ def parse_diffpoly(text: str) -> DiffPoly:
 
 
 def _elaborate(text: str, target: tuple):
-    # The powers are bounded before anything is elaborated.  Sums and
-    # products are loops, so only nesting recurses: deep brackets end here.
+    # Powers and degree are bounded before anything is elaborated.  Sums
+    # and products are loops, so only nesting recurses: deep brackets end here.
     try:
         tokens = _tokenize(text)
-        for product, tok in _Parser(tokens, _POWERS).parse():
+        degree, powers = _Parser(tokens, _POWERS).parse()
+        for product, tok in powers:
             if product > MAX_POWER:
                 raise ParseError(
                     f"power too large in {text!r}: nested exponents multiply to {product}, above {MAX_POWER}",
                     tok.line,
                     tok.column,
                 )
+        if degree > MAX_POWER:
+            raise ParseError(f"degree too large in {text!r}: above {MAX_POWER}", 1, 1)
         return _Parser(tokens, target).parse()
     except RecursionError:
         raise ParseError("expression nested too deeply", 1, 1) from None
@@ -265,21 +287,13 @@ def _elaborate(text: str, target: tuple):
 
 def _coeff_chunk(dp: DiffPoly, dpow: str) -> Tuple[bool, str]:
     # Returns (negative, body) for one symbol order; body has no sign.
+    if len(dp.terms) != 1:
+        return False, f"({dp.text()})*{dpow}" if dpow else f"({dp.text()})"
+    negative = dp.terms[0][1] < 0
+    body = (-dp if negative else dp).text()
     if not dpow:
-        if len(dp.terms) == 1:
-            mono, c = dp.terms[0]
-            return c < 0, (-dp if c < 0 else dp).text()
-        return False, f"({dp.text()})"
-    if len(dp.terms) == 1:
-        mono, c = dp.terms[0]
-        mag = abs(c)
-        if mono == ():
-            body = dpow if mag == 1 else f"{mag}*{dpow}"
-        else:
-            factor = mono_text(mono) if mag == 1 else f"{mag}*{mono_text(mono)}"
-            body = f"{factor}*{dpow}"
-        return c < 0, body
-    return False, f"({dp.text()})*{dpow}"
+        return negative, body
+    return negative, dpow if body == "1" else f"{body}*{dpow}"
 
 
 def render_operator(sym: PsdoSymbol) -> str:

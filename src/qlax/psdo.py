@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra, rational
-from .diffpoly import DiffPoly, mono_mul
+from .diffpoly import DiffPoly, check_degree
 from .errors import PrecisionExhausted
 
 
@@ -45,12 +45,8 @@ class PsdoSymbol:
     floor: Optional[int] = None
 
     @staticmethod
-    def of(
-        items: Mapping[int, DiffPoly] | Iterable[Tuple[int, DiffPoly]],
-        floor: Optional[int] = None,
-    ) -> "PsdoSymbol":
+    def of(pairs: Iterable[Tuple[int, DiffPoly]], floor: Optional[int] = None) -> "PsdoSymbol":
         merged: dict[int, DiffPoly] = {}
-        pairs = items.items() if isinstance(items, Mapping) else items
         for k, dp in pairs:
             merged[k] = merged.get(k, DiffPoly.zero()) + dp
         cleaned = [
@@ -179,7 +175,7 @@ class PsdoAlgebra(Algebra):
         """A small cross-section of orders and coefficients; symmetry
         commands extend it with the problem's own L0 and P coefficients."""
         u = DiffPoly.u(0)
-        return [self.one, PsdoSymbol.from_dp(u), PsdoSymbol.xi(1), PsdoSymbol.of({1: u}), PsdoSymbol.xi(2)]
+        return [self.one, PsdoSymbol.from_dp(u), PsdoSymbol.xi(1), PsdoSymbol.of([(1, u)]), PsdoSymbol.xi(2)]
 
 
 def compose(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int] = None) -> PsdoSymbol:
@@ -219,38 +215,52 @@ def compose(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int] = None) -> PsdoSy
     else:
         result_floor = None
 
-    # Accumulate raw monomial tables per output order and canonicalize once
-    # at the end; building a DiffPoly per contribution dominates otherwise.
-    # The D_x chains of the right factor are shared across left terms.
-    out: dict[int, dict] = {}
+    if a.terms and b.terms:
+        check_degree(max(dp.degree() for _, dp in a.terms) + max(dp.degree() for _, dp in b.terms))
+    # Accumulate integer tables per output order, each over one common
+    # denominator that grows to the lcm of what it receives, and reduce
+    # once per order at the end.  The coefficient of d_xi^j / j! is the
+    # binomial C(k, j), an integer for negative k too.  The D_x chains of
+    # the right factor are shared across left terms.
+    out: dict[int, list] = {}  # order -> [{packed monomial: numerator}, denominator]
     for m, bm in b.terms:
         chain = [bm]
         for k, ak in a.terms:
+            a_items = ak.nums.items()
             j = 0
-            cj = Fraction(1)  # k(k-1)...(k-j+1) / j!
+            cj = 1  # k(k-1)...(k-j+1) / j!
             while True:
                 n = k + m - j
                 if result_floor is not None and n < result_floor:
                     break
                 bj = chain[j]
-                table = out.setdefault(n, {})
-                for ma, ca in ak.terms:
-                    cac = ca * cj
-                    for mb, cb in bj.terms:
-                        mono = mono_mul(ma, mb)
-                        prev = table.get(mono)
-                        value = cac * cb
-                        table[mono] = value if prev is None else prev + value
+                d = ak.den * bj.den
+                acc = out.get(n)
+                if acc is None:
+                    acc = out[n] = [{}, d]
+                elif acc[1] % d:
+                    grow = d // math.gcd(acc[1], d)
+                    acc[0] = {mono: c * grow for mono, c in acc[0].items()}
+                    acc[1] *= grow
+                table, den = acc
+                get = table.get
+                b_items = bj.nums.items()
+                scale = cj * (den // d)
+                for ma, ca in a_items:
+                    cac = scale * ca
+                    for mb, cb in b_items:
+                        mono = ma + mb
+                        table[mono] = get(mono, 0) + cac * cb
                 if k >= 0 and j >= k:
                     break
                 j += 1
-                cj *= Fraction(k - j + 1, j)
+                cj = cj * (k - j + 1) // j
                 if j == len(chain):
                     chain.append(chain[-1].dx())
                 if chain[j].is_zero():
                     break
     return PsdoSymbol.of(
-        {n: DiffPoly.of(table) for n, table in out.items()}, result_floor
+        ((n, DiffPoly.of(table.items(), den)) for n, (table, den) in out.items()), result_floor
     )
 
 
@@ -271,8 +281,8 @@ def kdv_pair() -> KdvPair:
     this agrees with composing -4*d^3 + 3*(d*u + u*d) symbol by symbol.
     """
     u = DiffPoly.u(0)
-    l_op = PsdoSymbol.of({2: DiffPoly.const(-1), 0: u})
+    l_op = PsdoSymbol.of([(2, DiffPoly.const(-1)), (0, u)])
     p_op = PsdoSymbol.of(
-        {3: DiffPoly.const(-4), 1: u.scale(Fraction(6)), 0: u.dx().scale(Fraction(3))}
+        [(3, DiffPoly.const(-4)), (1, u.scale(Fraction(6))), (0, u.dx().scale(Fraction(3)))]
     )
     return KdvPair(l_op, p_op)

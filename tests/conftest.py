@@ -49,7 +49,7 @@ def rand_diffpoly(stream, max_terms: int = 3, max_jet: int = 3, max_exp: int = 2
             mono.append((rint(stream, 0, max_jet), rint(stream, 1, max_exp)))
         key = tuple(sorted({j: e for j, e in mono}.items()))
         terms[key] = terms.get(key, Fraction(0)) + rand_fraction(stream)
-    return DiffPoly.of(terms)
+    return DiffPoly.from_terms(terms.items())
 
 
 def rand_diffop(
@@ -62,7 +62,7 @@ def rand_diffop(
             dp = rand_diffpoly(stream, max_terms=max_terms, max_jet=max_jet, max_exp=max_exp)
             if not dp.is_zero():
                 coeffs[k] = dp
-    return PsdoSymbol.of(coeffs)
+    return PsdoSymbol.of(coeffs.items())
 
 
 def rand_matrix_tpoly(alg: MatrixAlgebra, stream, degree: int, bound: int = 2) -> TPoly:
@@ -113,7 +113,7 @@ def diffpolys(draw, max_terms: int = 4) -> DiffPoly:
     terms = draw(
         st.dictionaries(jet_monomials, small_fractions, min_size=0, max_size=max_terms)
     )
-    return DiffPoly.of(terms)
+    return DiffPoly.from_terms(terms.items())
 
 
 @st.composite
@@ -123,7 +123,7 @@ def diffops(draw, max_order: int = 3) -> PsdoSymbol:
             st.integers(0, max_order), diffpolys(max_terms=2), min_size=0, max_size=2
         )
     )
-    return PsdoSymbol.of(coeffs)
+    return PsdoSymbol.of(coeffs.items())
 
 
 @st.composite

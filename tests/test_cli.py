@@ -331,6 +331,48 @@ def test_large_powers_exit_2_quickly(tmp_path, capsys):
         assert message in err
 
 
+def test_packed_monomials_never_overflow_silently(tmp_path, capsys):
+    # A large jet index would build a huge packed int and a long flat
+    # product would fill a field: both exit 2, naming the expression,
+    # before any monomial is built.
+    import time
+
+    from qlax.diffpoly import FIELD
+
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"backend": "psdo", "L0": "*".join(["u"] * (1 << FIELD)), "P": [[0, "d"]], "N": 1}))
+    for argv, message in (
+        (("commutator", "u_99999999", "u"), "jet index too large in 'u_99999999'"),
+        (("lax-solve", str(flat)), "field 'L0': degree too large in 'u*u*u"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+def test_long_products_of_bounded_powers_exit_2_quickly(capsys):
+    import time
+
+    from qlax.expr import MAX_POWER
+
+    long = "*".join(["(d+u)^24"] * 2000)
+    nested = "((d+u)^16)^16*" + long
+    for argv, message in (
+        (("commutator", long, "u"), "degree too large in '(d+u)^24*(d+u)^24*"),
+        (("commutator", "u", nested), "power too large in '((d+u)^16)^16*"),  # the nested rule reports first
+        (("commutator", "*".join(["u"] * (MAX_POWER + 1)), "d"), "degree too large"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert message in err
+    code, out, _ = run(capsys, "commutator", "*".join(["u"] * MAX_POWER), "d")
+    assert (code, out) == (0, f"[{'*'.join(['u'] * MAX_POWER)}, d] = -{MAX_POWER}*u^{MAX_POWER - 1}*u_1\n")
+
+
 def test_huge_truncation_order_exits_2_quickly(tmp_path, capsys):
     import time
 

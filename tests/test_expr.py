@@ -29,8 +29,8 @@ def test_parse_kdv_operators():
 
 
 def test_parse_noncommutative_product():
-    assert parse_operator("d*u") == PsdoSymbol.of({1: U, 0: U1})
-    assert parse_operator("u*d") == PsdoSymbol.of({1: U})
+    assert parse_operator("d*u") == PsdoSymbol.of({1: U, 0: U1}.items())
+    assert parse_operator("u*d") == PsdoSymbol.of({1: U}.items())
 
 
 def test_parse_rationals_and_powers():
@@ -47,10 +47,12 @@ def test_nested_powers_are_bounded():
 
     assert MAX_POWER == 24
     for parse, atom in ((parse_operator, "d"), (parse_diffpoly, "u")):
-        # the exponents on a path multiply, and an exponent 0 counts as 1
-        for text in (f"{atom}^24", f"(({atom}^2)^3)^4", f"({atom}^0)^24", f"{atom}^24*{atom}^24"):
+        # the exponents on a path multiply, and an exponent 0 counts as 1;
+        # the degree adds over a product and is bounded by the same number
+        for text in (f"{atom}^24", f"(({atom}^2)^3)^4", f"({atom}^0)^24", f"{atom}^12*{atom}^12"):
             parse(text)
         for text, column in (
+            (f"{atom}^24*{atom}^24", 1),
             (f"{atom}^25", 3),
             (f"({atom}^5)^5", 4),
             (f"(({atom}^2)^3)^5", 5),

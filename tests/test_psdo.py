@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlax import (
     DiffPoly,
@@ -21,7 +22,7 @@ from qlax import (
     kdv_pair,
 )
 
-from conftest import diffops, rand_diffop, int_stream, rint
+from conftest import diffops, diffpolys, rand_diffop, int_stream, rint
 
 U = DiffPoly.u(0)
 U1 = DiffPoly.u(1)
@@ -51,7 +52,22 @@ def model_compose(a: PsdoSymbol, b: PsdoSymbol) -> PsdoSymbol:
             cur = nxt
         for m, dp in cur.items():
             _acc(out, m, ak * dp)
-    return PsdoSymbol.of(out)
+    return PsdoSymbol.of(out.items())
+
+
+def symbol_rule_compose(a: PsdoSymbol, b: PsdoSymbol, floor: int) -> dict:
+    """The stored terms of a and b composed down to order ``floor`` straight
+    from the symbol rule: each pair a_k xi^k, b_m xi^m contributes
+    k(k-1)...(k-j+1)/j! * a_k * D_x^j(b_m) at order k + m - j."""
+    out: dict[int, DiffPoly] = {}
+    for k, ak in a.terms:
+        for m, bm in b.terms:
+            bj, j = bm, 0
+            while k + m - j >= floor and not bj.is_zero():
+                falling = math.prod(range(k - j + 1, k + 1))
+                _acc(out, k + m - j, (ak * bj).scale(Fraction(falling, math.factorial(j))))
+                bj, j = bj.dx(), j + 1
+    return out
 
 
 def test_model_agrees_on_seeded_operators():
@@ -65,7 +81,7 @@ def test_model_agrees_on_seeded_operators():
 # -- compose ----------------------------------------------------------------
 
 def test_compose_leibniz_example():
-    assert compose(D, PsdoSymbol.from_dp(U)) == PsdoSymbol.of({1: U, 0: U1})
+    assert compose(D, PsdoSymbol.from_dp(U)) == PsdoSymbol.of({1: U, 0: U1}.items())
 
 
 def test_compose_identity():
@@ -79,7 +95,7 @@ def test_compose_identity():
 def test_compose_second_order():
     # oracle: expanding the second derivative of a product by hand gives
     # u*f'' + 2*u_1*f' + u_2*f
-    expected = PsdoSymbol.of({2: U, 1: U1.scale(2), 0: U2})
+    expected = PsdoSymbol.of({2: U, 1: U1.scale(2), 0: U2}.items())
     assert compose(PsdoSymbol.xi(2), PsdoSymbol.from_dp(U)) == expected
     assert model_compose(PsdoSymbol.xi(2), PsdoSymbol.from_dp(U)) == expected
 
@@ -239,3 +255,22 @@ def test_floors_never_store_wrong_coefficients():
         assert got.floor == max(fa + b.terms[0][0], a.terms[0][0] + fb)
         for k, dp in got.terms:
             assert dp == exact.coeff(k)
+
+
+symbol_terms = st.dictionaries(st.integers(-3, 2), diffpolys(max_terms=2), max_size=3)
+floors = st.none() | st.integers(-5, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbol_terms, symbol_terms, floors, floors, st.integers(-6, -1))
+def test_compose_matches_symbol_rule_reference(ta, tb, fa, fb, work):
+    """Pseudo-differential inputs, negative orders and floors included."""
+    a, b = PsdoSymbol.of(ta.items(), fa), PsdoSymbol.of(tb.items(), fb)
+    got = compose(a, b, floor=work)
+    known = [fa + b.order()] if fa is not None and b.terms else []
+    known += [a.order() + fb] if fb is not None and a.terms else []
+    infinite = any(k < 0 for k, _ in a.terms) and not all(dp.is_constant() for _, dp in b.terms)
+    assert got.floor == (max(known + [work]) if known else work if infinite else None)
+    lowest = -10 if got.floor is None else got.floor  # an exact result has no order below -6
+    ref = symbol_rule_compose(a, b, lowest)
+    assert got.terms == tuple((n, ref[n]) for n in sorted(ref, reverse=True) if not ref[n].is_zero())
