@@ -15,6 +15,7 @@ The QLAX_FORMAT environment variable overrides --format.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -27,7 +28,16 @@ from .laxflow import MAX_ORDER, dt_series, lax_residual, lax_solve
 from .matrix import convergence_study
 from .psdo import PsdoSymbol, commutator, kdv_pair
 from .problemfile import load_probes, load_problem_file
-from .render import convergence_json, dumps, json_value, residual_report, series_json, series_lines
+from .render import (
+    convergence_json,
+    convergence_points,
+    dumps,
+    first_nonzero,
+    json_value,
+    residual_report,
+    series_json,
+    series_lines,
+)
 from .symops import (
     apply_series,
     residual_vanishes,
@@ -102,10 +112,12 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
     pf = load_problem_file(args.problem, default_n=args.qorder)
     prob = pf.lax_problem()
     sol = lax_solve(prob)
-    report = residual_report(lax_residual(sol.lq, sol.pq))
+    residual = lax_residual(sol.lq, sol.pq)
+    report = residual_report(residual)
+    where = "" if report["zero"] else " (first nonzero at q^%d, t^%d)" % first_nonzero(residual)
     # Independent of the recurrences; as the flows are unique, they pin both printed series.
     failed = [name for name, passed in (
-        ("dLq/dt = [Pq, Lq]", report["zero"]),
+        ("dLq/dt = [Pq, Lq]" + where, report["zero"]),
         ("Lq(0) = L0", sol.lq.coeffs[0] == prob.l0),
         ("W(0) = 1", sol.w.coeffs[0] == prob.alg.one),
         ("dW/dt = Pq*W", (dt_series(sol.w) - sol.pq * sol.w).is_zero()),
@@ -127,7 +139,7 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
         lines = [f"backend: {pf.backend}, N = {prob.n}"]
         lines += series_lines("W", sol.w)
         lines += series_lines("Lq", sol.lq)
-        lines.append(f"residual: {'zero (exact)' if report['zero'] else 'NONZERO'}")
+        lines.append(f"residual: {'zero (exact)' if report['zero'] else 'NONZERO' + where}")
         lines.append(PASS if ok else FAIL)
         _emit("\n".join(lines))
     return 0 if ok else 1
@@ -195,14 +207,17 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         _emit(dumps(convergence_json(report)))
     else:
         lines = [f"N = {report.n}, refN = {report.ref_n}"]
-        for p in report.points:
-            ratio = "-" if p.ratio_to_prev is None else f"{float(p.ratio_to_prev):.4g}"
-            lines.append(f"q = {p.q}: error = {float(p.error):.6g}, ratio_to_prev = {ratio}")
+        for p in convergence_points(report):
+            ratio = "-" if p["ratio_to_prev"] is None else f"{p['ratio_to_prev']:.4g}"
+            lines.append(f"q = {p['q']}: error = {p['error']:.6g}, ratio_to_prev = {ratio}")
         _emit("\n".join(lines))
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main``
+    call: it depends on no input, and parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text",

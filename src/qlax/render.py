@@ -12,8 +12,10 @@ c_k * t^(k-w), and the reports spell it out as t-coefficients.
 from __future__ import annotations
 
 import json
-from typing import Any, List
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, List, Optional, Tuple
 
+from .errors import QlaxError
 from .qseries import QSeries
 
 
@@ -34,9 +36,11 @@ def t_coeffs(series: QSeries, weight: int) -> List[list]:
 
 
 def series_json(series: QSeries) -> dict:
-    """The JSON form of a weight-0 series such as W or Lq."""
-    rows = t_coeffs(series, 0)
-    return {"trunc": series.trunc, "coeffs": [{"t_coeffs": [json_value(c) for c in row]} for row in rows]}
+    """The JSON form of a weight-0 series such as W or Lq.  Every zero pad
+    is one shared object, which ``dumps`` writes once."""
+    pad = json_value(series.alg.zero)
+    rows = [[pad if c.is_zero() else json_value(c) for c in row] for row in t_coeffs(series, 0)]
+    return {"trunc": series.trunc, "coeffs": [{"t_coeffs": row} for row in rows]}
 
 
 def series_lines(label: str, series: QSeries) -> List[str]:
@@ -64,25 +68,92 @@ def residual_report(residual: QSeries) -> dict:
     }
 
 
+def first_nonzero(residual: QSeries) -> Optional[Tuple[int, int]]:
+    """The first (q-order, t-degree) where a residual series (weight 1) is
+    nonzero, or None when it vanishes."""
+    for k, row in enumerate(t_coeffs(residual, 1)):
+        if row:
+            return k, len(row) - 1
+    return None
+
+
+def _float(x, q, what: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise QlaxError(f"--q {q}: the {what} is too large for a float") from None
+
+
+def convergence_points(report) -> List[dict]:
+    """The points of a ``matrix.ConvergenceReport`` with the error and the
+    ratio to the previous point as floats; a value past the float range
+    exits 2 naming its ``--q``."""
+    return [
+        {
+            "q": str(p.q),
+            "error": _float(p.error, p.q, "truncation error"),
+            "ratio_to_prev": None if p.ratio_to_prev is None
+            else _float(p.ratio_to_prev, p.q, "ratio to the previous error"),
+        }
+        for p in report.points
+    ]
+
+
 def convergence_json(report) -> dict:
     """The JSON form of a ``matrix.ConvergenceReport``."""
-    points = []
-    for p in report.points:
-        points.append(
-            {
-                "q": str(p.q),
-                "error": float(p.error),
-                "ratio_to_prev": None if p.ratio_to_prev is None else float(p.ratio_to_prev),
-            }
-        )
     return {
         "schema": "qlax/convergence/1",
         "N": report.n,
         "refN": report.ref_n,
-        "points": points,
+        "points": convergence_points(report),
     }
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text: fixed key order, two-space indent."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Deterministic JSON text: fixed key order, two-space indent.
+
+    Equal to ``json.dumps(obj, indent=2) + "\\n"`` on dicts with string
+    keys, lists, strings and scalars, without the stdlib's pure-Python
+    indent encoder.  A list or dict met again at the same depth (the zero
+    pads of ``series_json``) is written once and its pieces copied; object
+    ids are unique keys while the whole tree is alive in this call.
+    """
+    out: List[str] = []
+    memo: dict = {}
+
+    def write(x: Any, depth: int) -> None:
+        if isinstance(x, str):
+            out.append(_quote(x))
+        elif not isinstance(x, (list, dict)):
+            out.append(json.dumps(x))
+        elif not x:
+            out.append("{}" if isinstance(x, dict) else "[]")
+        elif (id(x), depth) in memo:
+            start, stop = memo[id(x), depth]
+            out.extend(out[start:stop])
+        else:
+            start = len(out)
+            inner = "\n" + "  " * (depth + 1)
+            sep = "," + inner
+            end = "\n" + "  " * depth
+            if isinstance(x, dict):
+                lead = "{" + inner
+                for k, v in x.items():
+                    out.append(lead + _quote(k) + ": ")
+                    lead = sep
+                    write(v, depth + 1)
+                out.append(end + "}")
+            elif all(isinstance(v, str) for v in x):  # a matrix row: one join
+                out.append("[" + inner + sep.join(map(_quote, x)) + end + "]")
+            else:
+                lead = "[" + inner
+                for v in x:
+                    out.append(lead)
+                    lead = sep
+                    write(v, depth + 1)
+                out.append(end + "]")
+            memo[id(x), depth] = start, len(out)
+
+    write(obj, 0)
+    out.append("\n")
+    return "".join(out)

@@ -188,8 +188,9 @@ def test_lax_solve_names_each_failed_check(monkeypatch, capsys):
     assert err == "failed check: Lq(0) = L0\n"
     monkeypatch.setattr(laxflow, "flow", lambda x0, pq: QSeries.constant(pq.alg, pq.trunc, x0))
     code, out, err = run(capsys, "lax-solve", str(PROBLEMS / "nilpotent2x2_n2.json"))
-    assert code == 1 and out.endswith("residual: NONZERO\nFAIL\n")
-    assert err == "failed check: dLq/dt = [Pq, Lq]\n"
+    # a constant Lq leaves -[p_0, L0] at q^1, t^0 of the residual
+    assert code == 1 and out.endswith("residual: NONZERO (first nonzero at q^1, t^0)\nFAIL\n")
+    assert err == "failed check: dLq/dt = [Pq, Lq] (first nonzero at q^1, t^0)\n"
 
 
 def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
@@ -542,6 +543,19 @@ def test_convergence_default_reference_order_stays_bounded(tmp_path, capsys):
             assert "field 'N'" in err and "refN" not in err
 
 
+def test_convergence_values_past_the_float_range_exit_2(capsys):
+    # a huge q overflows the error, a tiny one after 1/8 the ratio to it
+    big = "1" + "0" * 200
+    path = str(PROBLEMS / "matrix3x3_n2.json")
+    for qs, what in (((big,), "truncation error"), (("1/8", "1/" + big), "ratio")):
+        argv = ["convergence", path] + [arg for q in qs for arg in ("--q", q)]
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: --q {qs[-1]}: the ") and what in err
+            assert "Traceback" not in err
+
+
 def test_problem_schema_bounds_n_like_the_loader():
     assert load_schema("problem.schema.json")["properties"]["N"]["maximum"] == laxflow.MAX_ORDER
 
@@ -566,6 +580,29 @@ def test_env_var_overrides_format(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    # the parser is built once per process; nothing parsed may outlive its call
+    from qlax.cli import build_parser
+
+    nil = str(PROBLEMS / "nilpotent2x2_n2.json")
+    assert build_parser() is build_parser()
+    code, doc, _ = run_json(capsys, "convergence", nil, "--q", "1/3", "--q", "1/5")
+    assert code == 0 and [p["q"] for p in doc["points"]] == ["1/3", "1/5"]
+    code, doc, _ = run_json(capsys, "convergence", nil)
+    assert code == 0 and [p["q"] for p in doc["points"]] == ["1/8", "1/16"]
+    assert run(capsys, "kdv-verify", "--perturb", "1")[0] == 1
+    assert run(capsys, "kdv-verify")[0] == 0
+    assert run_json(capsys, "kdv-verify")[1]["pass"] is True
+    code, out, _ = run(capsys, "kdv-verify")
+    assert code == 0 and out.startswith("L = ") and out.endswith("exactly\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lax-solve", nil, "--qorder", "x"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "lax-solve", nil)
+    assert (code, err) == (0, "") and out.endswith("PASS\n")
 
 
 def test_problem_files_match_schema():
