@@ -5,9 +5,11 @@ stored in lowest terms with a positive denominator, so nothing ever rounds.
 
 An :class:`Algebra` value describes a unital associative algebra over the
 rationals.  It only has to supply ``zero``, ``one`` and ``probes()``.  The
-element values themselves implement ``+``, unary ``-``, ``*`` (possibly
-noncommutative), ``scale(c)`` by an exact rational, ``is_zero()``,
-structural ``==`` on canonical forms, ``to_json()`` and ``max_abs()``.
+element values themselves implement ``+``, ``-``, ``*`` (possibly
+noncommutative), ``bracket(y)`` = x*y - y*x (the one commutator kernel,
+which flows and residuals step with), ``scale(c)`` by an exact rational,
+``is_zero()``, structural ``==`` on canonical forms, ``to_json()`` and
+``max_abs()``.
 The generic containers ``QSeries`` and ``BiOp`` work over any such algebra
 and their values are elements in the same sense, so a q-series of BiOps
 over matrices is one more instance of the same contract.

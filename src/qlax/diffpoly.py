@@ -77,12 +77,13 @@ class DiffPoly:
     """A polynomial in the jet variables with exact rational coefficients:
     ``nums`` maps packed monomials to integer numerators over ``den``."""
 
-    __slots__ = ("nums", "den", "_hash")
+    # _hash, _dx and _degree are filled on first use; the value is immutable.
+    __slots__ = ("nums", "den", "_hash", "_dx", "_degree")
 
     def __init__(self, nums: dict, den: int = 1):
         self.nums = nums
         self.den = den
-        self._hash = None
+        self._hash = self._dx = self._degree = None
 
     @staticmethod
     def of(pairs: Iterable[Tuple[int, int]], den: int = 1) -> "DiffPoly":
@@ -147,7 +148,9 @@ class DiffPoly:
 
     def degree(self) -> int:
         """Largest total degree; -1 for the zero polynomial."""
-        return max((m % _MASK for m in self.nums), default=-1)
+        if self._degree is None:
+            self._degree = max((m % _MASK for m in self.nums), default=-1)
+        return self._degree
 
     def weight(self) -> int:
         """Largest differential weight among the terms; -1 if zero."""
@@ -221,15 +224,19 @@ class DiffPoly:
         """Total x-derivative: u_j goes to u_{j+1} by the Leibniz rule.
 
         Moving one unit from field j to field j+1 adds _MASK << FIELD*j.
+        A constant's derivative is _ZERO without a call to ``of``, so no
+        command's work depends on the memo of a module constant (the unit).
         """
-        out: dict[int, int] = {}
-        get = out.get
-        for m, c in self.nums.items():
-            for j, e in enumerate(_exponents(m)):
-                if e:
-                    key = m + (_MASK << FIELD * j)
-                    out[key] = get(key, 0) + c * e
-        return DiffPoly.of(out.items(), self.den)
+        if self._dx is None:
+            out: dict[int, int] = {}
+            get = out.get
+            for m, c in self.nums.items():
+                for j, e in enumerate(_exponents(m)):
+                    if e:
+                        key = m + (_MASK << FIELD * j)
+                        out[key] = get(key, 0) + c * e
+            self._dx = DiffPoly.of(out.items(), self.den) if out else _ZERO
+        return self._dx
 
     def max_abs(self) -> Fraction:
         return Fraction(max((abs(c) for c in self.nums.values()), default=0), self.den)

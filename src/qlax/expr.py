@@ -26,7 +26,6 @@ powers stay within MAX_POWER, e.g. ``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NoReturn, Tuple
 
@@ -40,12 +39,12 @@ from .psdo import PsdoSymbol, compose
 _PUNCT = "+-*^()/"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'int', 'jet', 'd', one of + - * ^ ( ) /, or 'eof'
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        # kind is 'int', 'jet', 'd', one of + - * ^ ( ) /, or 'eof'
+        self.kind, self.text, self.line, self.column = kind, text, line, column
 
 
 def _tokenize(source: str) -> List[Token]:
@@ -145,8 +144,8 @@ class _Parser:
     def term(self):
         value = self.factor()
         while self.peek().kind == "*":
-            self.next()
-            value = self.mul(value, self.factor())
+            tok = self.next()
+            value = self.mul(value, self.factor(), tok)
         return value
 
     def factor(self):
@@ -211,23 +210,26 @@ def _records(*parts: list) -> list:
     return kept
 
 
-def _degree(degree: int) -> int:
-    # Past MAX_POWER only "too large" matters, so the count stays small.
-    return min(degree, MAX_POWER + 1)
+def _degree(degree: int, records: list, where, tok: Token) -> tuple:
+    # Past MAX_POWER only "too large" matters, so the count stays small;
+    # ``where`` is the token at which the degree first passed it.
+    if degree > MAX_POWER and where is None:
+        where = tok
+    return min(degree, MAX_POWER + 1), records, where
 
 
 def _sum(a: tuple, b: tuple) -> tuple:
-    return max(a[0], b[0]), _records(a[1], b[1])
+    return max(a[0], b[0]), _records(a[1], b[1]), a[2] or b[2]
 
 
-def _product(a: tuple, b: tuple) -> tuple:
-    return _degree(a[0] + b[0]), _records(a[1], b[1])
+def _product(a: tuple, b: tuple, tok: Token) -> tuple:
+    return _degree(a[0] + b[0], _records(a[1], b[1]), a[2] or b[2], tok)
 
 
 def _scaled(base: tuple, tok: Token) -> tuple:
     n = int(tok.text)
     m = max(n, 1)
-    return _degree(base[0] * n), _records([(m, tok)], [(product * m, t) for product, t in base[1]])
+    return _degree(base[0] * n, _records([(m, tok)], [(product * m, t) for product, t in base[1]]), base[2], tok)
 
 
 def _power(base, tok: Token):
@@ -239,18 +241,19 @@ def _unbound_d(tok: Token) -> NoReturn:
 
 
 # How each target denotes a literal, a jet variable, d, a sum, a
-# difference, a negation, a product and a power; d and a power receive
-# their token, so errors keep line and column.  A _POWERS value is the
-# degree and the powers in pre-order with the product of the exponents on
-# their paths.
+# difference, a negation, a product and a power; d, a product and a power
+# receive their token, so errors keep line and column.  A _POWERS value is
+# the degree, the powers in pre-order with the product of the exponents on
+# their paths, and the token where the degree first passed MAX_POWER.
 _OPERATOR = (
     PsdoSymbol.const, lambda j: PsdoSymbol.from_dp(DiffPoly.u(j)), lambda _: PsdoSymbol.xi(1),
-    operator.add, operator.sub, operator.neg, compose, _power,
+    operator.add, operator.sub, operator.neg, lambda a, b, _: compose(a, b), _power,
 )
 _DIFFPOLY = (
-    DiffPoly.const, DiffPoly.u, _unbound_d, operator.add, operator.sub, operator.neg, operator.mul, _power,
+    DiffPoly.const, DiffPoly.u, _unbound_d, operator.add, operator.sub, operator.neg, lambda a, b, _: a * b, _power,
 )
-_POWERS = (lambda _: (0, []), lambda _: (1, []), lambda _: (1, []), _sum, _sum, lambda p: p, _product, _scaled)
+_POWERS = (lambda _: (0, [], None), lambda _: (1, [], None), lambda _: (1, [], None), _sum, _sum, lambda p: p,
+           _product, _scaled)
 
 
 def parse_operator(text: str) -> PsdoSymbol:
@@ -268,7 +271,7 @@ def _elaborate(text: str, target: tuple):
     # and products are loops, so only nesting recurses: deep brackets end here.
     try:
         tokens = _tokenize(text)
-        degree, powers = _Parser(tokens, _POWERS).parse()
+        _, powers, where = _Parser(tokens, _POWERS).parse()
         for product, tok in powers:
             if product > MAX_POWER:
                 raise ParseError(
@@ -276,8 +279,8 @@ def _elaborate(text: str, target: tuple):
                     tok.line,
                     tok.column,
                 )
-        if degree > MAX_POWER:
-            raise ParseError(f"degree too large in {text!r}: above {MAX_POWER}", 1, 1)
+        if where is not None:
+            raise ParseError(f"degree too large in {text!r}: above {MAX_POWER}", where.line, where.column)
         return _Parser(tokens, target).parse()
     except RecursionError:
         raise ParseError("expression nested too deeply", 1, 1) from None

@@ -23,12 +23,14 @@ Taylor recurrence (the Jorba-Zou method), which ``_taylor`` runs:
 
     x_0 given,   k * x_k = sum_{m=1..min(k, d+1)} step(pq_m, x_{k-m})
 
-for d = deg_t(P), with step(p, x) = p*x in ``texp`` and p*x - x*p in
-``flow``.  The truncated solution from x_0 is unique, so flow(x) is the
-conjugation W x W^-1; only the tests build W^-1 to check that.  W is also
-the sum of the iterated integrals a_0 = 1, a_i = integral_0^t Pq a_{i-1}
-(val(a_i) >= i), which ``iterated_integrals`` keeps as a test reference.
-``lax_residual`` recomputes the flow's equation with generic products.
+for d = deg_t(P), with step(p, x) = p*x in ``texp`` and the element
+bracket p.bracket(x) = p*x - x*p in ``flow``.  The truncated solution from
+x_0 is unique, so flow(x) is the conjugation W x W^-1; only the tests build
+W^-1 to check that.  W is also the sum of the iterated integrals a_0 = 1,
+a_i = integral_0^t Pq a_{i-1} (val(a_i) >= i), which ``iterated_integrals``
+keeps as a test reference.
+``lax_residual`` recomputes the flow's equation as the series identity
+dt_series(Lq) - Pq.bracket(Lq), summed by q-order, not by the recurrence.
 
 Everything here is generic over the coefficient algebra A (matrices,
 operator symbols, or tensor pairs of either).
@@ -145,7 +147,7 @@ def texp(pq: QSeries) -> QSeries:
 
 def flow(x0: Any, pq: QSeries) -> QSeries:
     """The Lax flow dX/dt = [pq, X] started at X(0) = x0."""
-    return _taylor(x0, pq, lambda p, x: p * x - x * p)
+    return _taylor(x0, pq, lambda p, x: p.bracket(x))
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:
     """dLq/dt - [Pq, Lq]; identically zero exactly for lax_solve output."""
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
-    return dt_series(lq) - (pq * lq - lq * pq)
+    return dt_series(lq) - pq.bracket(lq)
 
 
 def eval_tq(s: QSeries, t0: int | Fraction, q0: int | Fraction) -> Any:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra, rational
@@ -111,29 +111,41 @@ class RatMatrix:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+    def _combine(self, other: "RatMatrix", op, sign: int) -> "RatMatrix":
+        # self + sign*other, entrywise op over the common denominator.
         self._check(other)
         da, db = self.den, other.den
         if da == db:
-            num = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.num, other.num))
+            num = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.num, other.num))
             return _canonical(num, da)
         g = gcd(da, db)
-        fa, fb = db // g, da // g
+        fa, fb = db // g, sign * (da // g)
         num = tuple(
             tuple(x * fa + y * fb for x, y in zip(ra, rb)) for ra, rb in zip(self.num, other.num)
         )
         return _canonical(num, da * fa)
 
+    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._combine(other, add, 1)
+
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(tuple(tuple(-x for x in row) for row in self.num), self.den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
+        return self._combine(other, sub, -1)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         self._check(other)
         cols = tuple(zip(*other.num))
         num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        return _canonical(num, self.den * other.den)
+
+    def bracket(self, other: "RatMatrix") -> "RatMatrix":
+        """self*other - other*self in one integer pass over both denominators."""
+        self._check(other)
+        cols = tuple(zip(zip(*self.num), zip(*other.num)))
+        num = tuple(tuple(sum(map(mul, ra, cb)) - sum(map(mul, rb, ca)) for ca, cb in cols)
+                    for ra, rb in zip(self.num, other.num))
         return _canonical(num, self.den * other.den)
 
     def is_zero(self) -> bool:

@@ -126,6 +126,13 @@ class PsdoSymbol:
     def __mul__(self, other: "PsdoSymbol") -> "PsdoSymbol":
         return compose(self, other)
 
+    def bracket(self, other: "PsdoSymbol") -> "PsdoSymbol":
+        """compose(self, other) - compose(other, self), raising what either
+        would raise.  Their j = 0 terms a_k*b_m and b_m*a_k cancel, as the
+        coefficients commute, so both sides start at j = 1."""
+        fl = self._combine_floor(_result_floor(self, other, None), _result_floor(other, self, None))
+        return _sum_of_products(((self, other, 1), (other, self, -1)), fl, 1)
+
     def __pow__(self, n: int) -> "PsdoSymbol":
         if n < 0:
             raise ValueError("negative operator powers are not defined")
@@ -194,6 +201,11 @@ def compose(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int] = None) -> PsdoSy
     the tightest bound max(floor_A + ord(B), ord(A) + floor_B) intersected
     with any explicit ``floor``.
     """
+    return _sum_of_products(((a, b, 1),), _result_floor(a, b, floor), 0)
+
+
+def _result_floor(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int]) -> Optional[int]:
+    # The floor of compose(a, b, floor), after its precision and degree checks.
     constraints = []
     if a.floor is not None and b.terms:
         constraints.append(a.floor + b.terms[0][0])
@@ -217,56 +229,61 @@ def compose(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int] = None) -> PsdoSy
 
     if a.terms and b.terms:
         check_degree(max(dp.degree() for _, dp in a.terms) + max(dp.degree() for _, dp in b.terms))
-    # Accumulate integer tables per output order, each over one common
-    # denominator that grows to the lcm of what it receives, and reduce
-    # once per order at the end.  The coefficient of d_xi^j / j! is the
-    # binomial C(k, j), an integer for negative k too.  The D_x chains of
-    # the right factor are shared across left terms.
+    return result_floor
+
+
+def _sum_of_products(products: tuple, result_floor: Optional[int], first: int) -> PsdoSymbol:
+    # Sum sign times the terms j >= first of sigma(A o B) over the
+    # (A, B, sign) products.  Accumulate integer tables per output order,
+    # each over one common denominator that grows to the lcm of what it
+    # receives, and reduce once per order at the end.  The coefficient of
+    # d_xi^j / j! is the binomial C(k, j), an integer for negative k too.
+    # The D_x chains of the right factor are shared across left terms.
     out: dict[int, list] = {}  # order -> [{packed monomial: numerator}, denominator]
-    for m, bm in b.terms:
-        chain = [bm]
-        for k, ak in a.terms:
-            a_items = ak.nums.items()
-            j = 0
-            cj = 1  # k(k-1)...(k-j+1) / j!
-            while True:
-                n = k + m - j
-                if result_floor is not None and n < result_floor:
-                    break
-                bj = chain[j]
-                d = ak.den * bj.den
-                acc = out.get(n)
-                if acc is None:
-                    acc = out[n] = [{}, d]
-                elif acc[1] % d:
-                    grow = d // math.gcd(acc[1], d)
-                    acc[0] = {mono: c * grow for mono, c in acc[0].items()}
-                    acc[1] *= grow
-                table, den = acc
-                get = table.get
-                b_items = bj.nums.items()
-                scale = cj * (den // d)
-                for ma, ca in a_items:
-                    cac = scale * ca
-                    for mb, cb in b_items:
-                        mono = ma + mb
-                        table[mono] = get(mono, 0) + cac * cb
-                if k >= 0 and j >= k:
-                    break
-                j += 1
-                cj = cj * (k - j + 1) // j
-                if j == len(chain):
-                    chain.append(chain[-1].dx())
-                if chain[j].is_zero():
-                    break
+    for a, b, sign in products:
+        for m, bm in b.terms:
+            chain = [bm]
+            for k, ak in a.terms:
+                a_items = ak.nums.items()
+                j = 0
+                cj = sign  # sign * k(k-1)...(k-j+1) / j!
+                while True:
+                    n = k + m - j
+                    if result_floor is not None and n < result_floor:
+                        break
+                    if j >= first:
+                        bj = chain[j]
+                        d = ak.den * bj.den
+                        acc = out.get(n)
+                        if acc is None:
+                            acc = out[n] = [{}, d]
+                        elif acc[1] % d:
+                            grow = d // math.gcd(acc[1], d)
+                            acc[0] = {mono: c * grow for mono, c in acc[0].items()}
+                            acc[1] *= grow
+                        table, den = acc
+                        get = table.get
+                        b_items = bj.nums.items()
+                        scale = cj * (den // d)
+                        for ma, ca in a_items:
+                            cac = scale * ca
+                            for mb, cb in b_items:
+                                mono = ma + mb
+                                table[mono] = get(mono, 0) + cac * cb
+                    if k >= 0 and j >= k:
+                        break
+                    j += 1
+                    cj = cj * (k - j + 1) // j
+                    if j == len(chain):
+                        chain.append(chain[-1].dx())
+                    if chain[j].is_zero():
+                        break
     return PsdoSymbol.of(
         ((n, DiffPoly.of(table.items(), den)) for n, (table, den) in out.items()), result_floor
     )
 
 
-def commutator(a: PsdoSymbol, b: PsdoSymbol) -> PsdoSymbol:
-    """[A, B] = A o B - B o A."""
-    return compose(a, b) - compose(b, a)
+commutator = PsdoSymbol.bracket  # [A, B] = A o B - B o A
 
 
 class KdvPair(NamedTuple):

@@ -11,7 +11,8 @@ fixed power of t, set by the series' role.  So a coefficient c_k is an
 element of A, and the q^k term stands for c_k * q^k * t^(k-w) for the
 weight w of the series (0 for W and Lq, 1 for Pq and the residuals; see
 ``laxflow``).  Nothing here depends on w: products add weights, and the
-Cauchy product below is the same for every weight.
+Cauchy product below is the same for every weight; ``bracket`` is that
+product with each c_i*d_j replaced by the coefficient bracket [c_i, d_j].
 
 The grading is what makes the group theory finite: a product of series with
 valuations n and m has valuation at least n + m, so for any s with
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Any, Callable, Iterable, Optional
 
 from .algebra import Algebra, rational
@@ -130,10 +132,20 @@ class QSeries:
         return QSeries(self.alg, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
+        self._check(other)
+        pairs = zip(self.coeffs, other.coeffs)
+        return QSeries(self.alg, tuple(a if b.is_zero() else (-b if a.is_zero() else a - b) for a, b in pairs))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Cauchy product cut at q^N; factor order preserved."""
+        return self._cauchy(other, mul)
+
+    def bracket(self, other: "QSeries") -> "QSeries":
+        """self*other - other*self as one Cauchy product of coefficient
+        brackets, [c_i, d_j] at q^(i+j)."""
+        return self._cauchy(other, lambda c, d: c.bracket(d))
+
+    def _cauchy(self, other: "QSeries", product: Callable[[Any, Any], Any]) -> "QSeries":
         self._check(other)
         n = self.trunc
         out: list = [None] * (n + 1)
@@ -144,7 +156,7 @@ class QSeries:
                 dj = other.coeffs[j]
                 if dj.is_zero():
                     continue
-                prod = ci * dj
+                prod = product(ci, dj)
                 out[i + j] = prod if out[i + j] is None else out[i + j] + prod
         zero = self.alg.zero
         return QSeries(self.alg, tuple(zero if c is None else c for c in out))

@@ -30,7 +30,8 @@ tests check that identity and the group law of the deformed symmetries.
 ``exp_ad``, the time-ordered exponential of the lifted path ad(Pq) (the
 parallel transport of the connection d/dt + ad_Pq), stays as the library
 form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.  Both residual maps
-recompute dS/dt - [ad(Pq), S] from ``dt_series`` and ``lift_ad``.
+recompute dS/dt - [ad(Pq), S] as dt_series(S) - lift_ad(Pq).bracket(S),
+where the BiOp bracket is the difference of the two compositions.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class BiOp:
             for c, d in other.terms:
                 pairs.append((a * c, d * b))
         return BiOp.of(self.alg, pairs)
+
+    def bracket(self, other: "BiOp") -> "BiOp":
+        return self * other - other * self
 
     def scale(self, c: Fraction) -> "BiOp":
         c = rational(c)

@@ -193,6 +193,44 @@ def test_lax_solve_names_each_failed_check(monkeypatch, capsys):
     assert err == "failed check: dLq/dt = [Pq, Lq] (first nonzero at q^1, t^0)\n"
 
 
+def first_order_terms(a, b):
+    """The j = 1 terms of the symbol bracket [A, B] of two differential
+    operators: k a_k D_x(b_m) - m b_m D_x(a_k) at order k + m - 1."""
+    from qlax import PsdoSymbol
+
+    return PsdoSymbol.of(
+        (k + m - 1, (ak * bm.dx()).scale(k) - (bm * ak.dx()).scale(m)) for k, ak in a.terms for m, bm in b.terms
+    )
+
+
+def test_flow_with_a_wrong_bracket_fails_the_checks(monkeypatch, capsys):
+    # The flow and every residual step with the same element bracket, so a
+    # flow stepping with another bracket must be caught by the residual.
+    from qlax import symops
+
+    swapped = lambda p, x: x.bracket(p)
+    no_j1 = lambda p, x: p.bracket(x) - first_order_terms(p, x)
+    for step, names in (
+        (swapped, ("nilpotent2x2_n2.json", "matrix3x3_n2.json", "kdv_n2.json", "kdv_symmetry_n2.json", "matrix_symmetry_n3.json")),
+        (no_j1, ("kdv_n2.json", "kdv_symmetry_n2.json")),
+    ):
+        wrong = lambda x0, pq: laxflow._taylor(x0, pq, step)
+        for name in names:
+            path = str(PROBLEMS / name)
+            commands = ("lax-solve", "symmetry") if "symmetry" in name else ("lax-solve",)
+            for command in commands:
+                assert run(capsys, command, path)[0] == 0
+                with monkeypatch.context() as m:
+                    m.setattr(laxflow, "flow", wrong)
+                    m.setattr(symops, "flow", wrong)
+                    code, out, err = run(capsys, command, path)
+                assert code == 1 and out.endswith("FAIL\n"), (name, command)
+                if command == "lax-solve":
+                    assert err.startswith("failed check: dLq/dt = [Pq, Lq] (first nonzero at q^")
+                else:
+                    assert "transported solution: FAIL" in out
+
+
 def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
     # invert_unipotent and iterated_integrals are test references only, and
     # symmetry never computes W: every golden run is unchanged without them

@@ -52,7 +52,9 @@ def test_nested_powers_are_bounded():
         for text in (f"{atom}^24", f"(({atom}^2)^3)^4", f"({atom}^0)^24", f"{atom}^12*{atom}^12"):
             parse(text)
         for text, column in (
-            (f"{atom}^24*{atom}^24", 1),
+            (f"{atom}^24*{atom}^24", 5),
+            (f"({atom}*{atom})^13", 7),
+            (f"{atom}*({atom}^12*{atom}^12*{atom})", 13),
             (f"{atom}^25", 3),
             (f"({atom}^5)^5", 4),
             (f"(({atom}^2)^3)^5", 5),

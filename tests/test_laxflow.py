@@ -178,19 +178,25 @@ def test_lax_solve_matrix_product_count(monkeypatch):
     vanishes for m > d + 1, so one Taylor recurrence costs
     sum_{k=1..N} min(k, d+1) = (d+1)N - d(d+1)/2 = 27 steps: one product
     each for W = texp(Pq) and two (the bracket) for Lq = flow(L0), 81 in
-    all.  Conjugating L0 by W with a unipotent inverse took 159.
+    all, where one ``bracket`` counts as its two products.  Conjugating L0 by
+    W with a unipotent inverse took 159.
     """
     n, d = 10, 2
     bound = 3 * ((d + 1) * n - d * (d + 1) // 2)
     calls = []
-    product = RatMatrix.__mul__
+    product, bracket = RatMatrix.__mul__, RatMatrix.bracket
 
     def counting(a, b):
         calls.append(1)
         return product(a, b)
 
+    def counting_bracket(a, b):
+        calls.extend((1, 1))
+        return bracket(a, b)
+
     prob = rand_problem(1, n=n, nn=3, deg=d)
     monkeypatch.setattr(RatMatrix, "__mul__", counting)
+    monkeypatch.setattr(RatMatrix, "bracket", counting_bracket)
     sol = lax_solve(prob)
     sol.w
     assert len(calls) <= bound == 81

@@ -118,6 +118,18 @@ def test_kernel_matches_fraction_reference(rows, c):
     assert a.is_zero() == all(x == 0 for row in ra for x in row)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(fraction_rows(n), fraction_rows(n))))
+def test_bracket_matches_products(rows):
+    ra, rb = rows
+    a, b = RatMatrix.of(ra), RatMatrix.of(rb)
+    ab = a.bracket(b)
+    assert_canonical(ab)
+    assert ab == a * b - b * a and hash(ab) == hash(a * b - b * a)
+    assert ab.entries == ref_add(ref_mul(ra, rb), ref_neg(ref_mul(rb, ra)))
+    assert b.bracket(a) == -ab and a.bracket(a).is_zero()
+
+
 def test_kernel_examples():
     m = RatMatrix.of([["1/2", "1/3"], ["0", "-5/6"]])
     assert (m.num, m.den) == (((3, 2), (0, -5)), 6)
@@ -132,7 +144,7 @@ def test_kernel_examples():
 
 def test_shape_mismatch():
     a, b = RatMatrix.identity(2), RatMatrix.identity(3)
-    for op in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: b - a):
+    for op in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: b - a, lambda: a.bracket(b), lambda: b.bracket(a)):
         with pytest.raises(ShapeMismatch):
             op()
 

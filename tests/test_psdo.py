@@ -274,3 +274,39 @@ def test_compose_matches_symbol_rule_reference(ta, tb, fa, fb, work):
     lowest = -10 if got.floor is None else got.floor  # an exact result has no order below -6
     ref = symbol_rule_compose(a, b, lowest)
     assert got.terms == tuple((n, ref[n]) for n in sorted(ref, reverse=True) if not ref[n].is_zero())
+
+
+def bracket_or_error(f):
+    try:
+        return f()
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbol_terms, symbol_terms, floors, floors, st.none() | st.integers(-6, -1))
+def test_bracket_matches_compose(ta, tb, fa, fb, work):
+    """[A, B] equals A o B - B o A, floor included, and raises exactly when
+    one of the two compositions does: negative orders, input floors, and a
+    left side that carries the working floor of an earlier composition."""
+    a, b = PsdoSymbol.of(ta.items(), fa), PsdoSymbol.of(tb.items(), fb)
+    if work is not None:
+        a = compose(a, b, floor=work)
+    for x, y in ((a, b), (b, a)):
+        expected = bracket_or_error(lambda: compose(x, y) - compose(y, x))
+        assert bracket_or_error(lambda: x.bracket(y)) == expected
+        assert bracket_or_error(lambda: commutator(x, y)) == expected
+
+
+def test_bracket_raises_when_either_composition_does():
+    # xi^-1 o u has infinitely many orders, u o xi^-1 has one
+    inv = PsdoSymbol.xi(-1)
+    u = PsdoSymbol.from_dp(U)
+    compose(u, inv)
+    for x, y in ((inv, u), (u, inv)):
+        with pytest.raises(PrecisionExhausted):
+            x.bracket(y)
+    # with a floor on one side both compositions are defined
+    cut = PsdoSymbol.of(inv.terms, floor=-4)
+    assert cut.bracket(u) == compose(cut, u) - compose(u, cut)
+    assert cut.bracket(u).floor == -4 and cut.bracket(u).terms

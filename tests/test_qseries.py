@@ -49,6 +49,23 @@ def test_mul_mismatch():
         QSeries.one(M2, 1) * QSeries.one(M2, 2)
     with pytest.raises(TruncationMismatch):
         QSeries.one(M2, 1) + QSeries.one(M2, 3)
+    with pytest.raises(TruncationMismatch):
+        QSeries.one(M2, 1) - QSeries.one(M2, 3)
+    with pytest.raises(TruncationMismatch):
+        QSeries.one(M2, 1).bracket(QSeries.one(M2, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 5))
+def test_bracket_and_difference_match_products(seed, n):
+    stream = int_stream(seed)
+    pairs = (
+        (rand_matrix_qseries(M2, stream, n), rand_matrix_qseries(M2, stream, n, val_min=1)),
+        (rand_psdo_qseries(stream, n), rand_psdo_qseries(stream, n, val_min=1)),
+    )
+    for x, y in pairs:
+        assert x.bracket(y) == x * y - y * x
+        assert x - y == x + (-y) and y - x == y + (-x)
 
 
 def test_exp_examples():

@@ -133,6 +133,15 @@ def test_ad_is_a_lie_homomorphism():
         assert lhs.extensionally_equal(rhs, UNITS2)
 
 
+def test_biop_bracket_matches_products():
+    stream = int_stream(23)
+    for _ in range(20):
+        x, y = rand_biop(M2, stream), rand_biop(M2, stream, pairs=3)
+        assert x.bracket(y) == x * y - y * x
+        for probe in UNITS2:
+            assert x.bracket(y).apply(probe) == x.apply(y.apply(probe)) - y.apply(x.apply(probe))
+
+
 def test_ad_is_a_derivation():
     stream = int_stream(47)
     for _ in range(10):
