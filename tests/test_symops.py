@@ -8,6 +8,8 @@ symbols are exact structural equalities.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlax import (
     BiOp,
@@ -133,13 +135,14 @@ def test_ad_is_a_lie_homomorphism():
         assert lhs.extensionally_equal(rhs, UNITS2)
 
 
-def test_biop_bracket_matches_products():
-    stream = int_stream(23)
-    for _ in range(20):
-        x, y = rand_biop(M2, stream), rand_biop(M2, stream, pairs=3)
-        assert x.bracket(y) == x * y - y * x
-        for probe in UNITS2:
-            assert x.bracket(y).apply(probe) == x.apply(y.apply(probe)) - y.apply(x.apply(probe))
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3))
+def test_biop_bracket_matches_products(seed, pairs_x, pairs_y):
+    stream = int_stream(seed)
+    x, y = rand_biop(M2, stream, pairs=pairs_x), rand_biop(M2, stream, pairs=pairs_y)
+    assert x.bracket(y) == x * y - y * x
+    for probe in UNITS2:
+        assert x.bracket(y).apply(probe) == x.apply(y.apply(probe)) - y.apply(x.apply(probe))
 
 
 def test_ad_is_a_derivation():
