@@ -54,7 +54,6 @@ from .symops import (
     exp_ad,
     lift_ad,
     residual_vanishes,
-    symmetry2_residual,
     symmetry3_residual,
     transport,
     transported_solution_check,
@@ -111,7 +110,6 @@ __all__ = [
     "rational",
     "render_operator",
     "residual_vanishes",
-    "symmetry2_residual",
     "symmetry3_residual",
     "texp",
     "transport",

@@ -9,7 +9,10 @@ element values themselves implement ``+``, ``-``, ``*`` (possibly
 noncommutative), ``bracket(y)`` = x*y - y*x (the one commutator kernel,
 which flows and residuals step with), ``scale(c)`` by an exact rational,
 ``is_zero()``, structural ``==`` on canonical forms, ``to_json()`` and
-``max_abs()``.
+``max_abs()``.  A backend value also gives its coordinates, ``coords()``:
+a dict from basis key to nonzero integer numerator over one positive
+denominator ``den``, or None when some coordinate is unknown (a symbol
+below its precision floor); the exact zero test of a ``BiOp`` reads them.
 The generic containers ``QSeries`` and ``BiOp`` work over any such algebra
 and their values are elements in the same sense, so a q-series of BiOps
 over matrices is one more instance of the same contract.

@@ -290,9 +290,9 @@ def _elaborate(text: str, target: tuple):
 
 def _coeff_chunk(dp: DiffPoly, dpow: str) -> Tuple[bool, str]:
     # Returns (negative, body) for one symbol order; body has no sign.
-    if len(dp.terms) != 1:
+    if len(dp.nums) != 1:
         return False, f"({dp.text()})*{dpow}" if dpow else f"({dp.text()})"
-    negative = dp.terms[0][1] < 0
+    negative = next(iter(dp.nums.values())) < 0
     body = (-dp if negative else dp).text()
     if not dpow:
         return negative, body

@@ -206,6 +206,10 @@ class RatMatrix:
     def max_abs(self) -> Fraction:
         return Fraction(max(abs(x) for row in self.num for x in row), self.den)
 
+    def coords(self) -> Tuple[dict, int]:
+        """({(i, j): numerator} over the nonzero entries, den)."""
+        return {(i, j): x for i, row in enumerate(self.num) for j, x in enumerate(row) if x}, self.den
+
     def to_json(self) -> List[List[str]]:
         den = self.den
         if den == 1:

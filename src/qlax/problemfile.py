@@ -57,15 +57,18 @@ class ProblemFile:
             raise ProblemFileError("P", str(e)) from e
 
 
-def _entry_value(backend: str, raw: Any, field: str, alg: Optional[Algebra] = None) -> Any:
-    """One backend element; a matrix must have the size of ``alg`` if given."""
+def _entry_value(backend: str, raw: Any, field: str, parsed: dict, alg: Optional[Algebra] = None) -> Any:
+    """One backend element; a matrix must have the size of ``alg`` if given.
+    ``parsed`` maps each DSL text already parsed from the file to its value."""
     if backend == "psdo":
         if not isinstance(raw, str):
             raise ProblemFileError(field, "psdo entries are DSL expression strings")
-        try:
-            return expr.parse_operator(raw)
-        except QlaxError as e:
-            raise ProblemFileError(field, str(e)) from e
+        if raw not in parsed:
+            try:
+                parsed[raw] = expr.parse_operator(raw)
+            except QlaxError as e:
+                raise ProblemFileError(field, str(e)) from e
+        return parsed[raw]
     if not isinstance(raw, list) or not raw:
         raise ProblemFileError(field, "matrix entries are arrays of arrays of rationals")
     try:
@@ -102,7 +105,8 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
 
     if "L0" not in doc:
         raise ProblemFileError("L0", "missing")
-    l0 = _entry_value(backend, doc["L0"], "L0")
+    parsed: dict = {}
+    l0 = _entry_value(backend, doc["L0"], "L0", parsed)
     if backend == "psdo":
         alg: Algebra = PsdoAlgebra()
     else:
@@ -125,7 +129,7 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
         if degree in seen:
             raise ProblemFileError("P", f"duplicate t-degree {degree}")
         seen.add(degree)
-        by_degree[degree] = _entry_value(backend, raw_entry, "P", alg)
+        by_degree[degree] = _entry_value(backend, raw_entry, "P", parsed, alg)
         top = max(top, degree)
     coeffs = [by_degree.get(k, alg.zero) for k in range(top + 1)]
     p = TPoly.of(alg, coeffs)
@@ -148,9 +152,7 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
             for pair in raw_s0:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ProblemFileError("S0", "must be \"identity\" or a list of [left, right] pairs")
-                pairs.append(
-                    (_entry_value(backend, pair[0], "S0", alg), _entry_value(backend, pair[1], "S0", alg))
-                )
+                pairs.append(tuple(_entry_value(backend, side, "S0", parsed, alg) for side in pair))
             s0 = BiOp.of(alg, pairs)
         else:
             raise ProblemFileError("S0", "must be \"identity\" or a list of [left, right] pairs")
@@ -188,4 +190,5 @@ def load_probes(path: str, backend: str, alg: Algebra) -> list:
     raw = doc.get("probes") if isinstance(doc, dict) else None
     if not isinstance(raw, list):
         raise ProblemFileError("probes", "file must contain a \"probes\" list")
-    return [_entry_value(backend, item, "probes", alg) for item in raw]
+    parsed: dict = {}
+    return [_entry_value(backend, item, "probes", parsed, alg) for item in raw]

@@ -150,6 +150,14 @@ class PsdoSymbol:
     def max_abs(self) -> Fraction:
         return max((dp.max_abs() for _, dp in self.terms), default=Fraction(0))
 
+    def coords(self) -> Optional[Tuple[dict, int]]:
+        """({(order, packed monomial): numerator}, den) over the lcm of the
+        coefficient denominators; None below a floor, where they are unknown."""
+        if self.floor is not None:
+            return None
+        den = math.lcm(*(dp.den for _, dp in self.terms))
+        return {(k, m): c * (den // dp.den) for k, dp in self.terms for m, c in dp.nums.items()}, den
+
     # -- text / JSON ----------------------------------------------------
 
     def __str__(self) -> str:
@@ -200,8 +208,29 @@ def compose(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int] = None) -> PsdoSy
     floor_A - 1 + ord(B), and symmetrically for B, so the result floor is
     the tightest bound max(floor_A + ord(B), ord(A) + floor_B) intersected
     with any explicit ``floor``.
+
+    Without a working ``floor``, a constant symbol c on either side gives
+    the other side scaled by c, floor kept, and the other side itself when
+    c = 1: the rule keeps only its j = 0 term, as c has order 0 and
+    D_x c = 0.
     """
+    if floor is None:
+        ca, cb = _constant(a), _constant(b)
+        if cb == 1:
+            return a
+        if ca is not None:
+            return b if ca == 1 else b.scale(ca)
+        if cb is not None:
+            return a.scale(cb)
     return _sum_of_products(((a, b, 1),), _result_floor(a, b, floor), 0)
+
+
+def _constant(s: PsdoSymbol) -> Optional[Fraction]:
+    # The value c of a constant symbol c * xi^0 with no floor; else None.
+    if s.floor is None and len(s.terms) == 1 and s.terms[0][0] == 0 and s.terms[0][1].is_constant():
+        dp = s.terms[0][1]
+        return Fraction(dp.nums[0], dp.den)
+    return None
 
 
 def _result_floor(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int]) -> Optional[int]:

@@ -6,14 +6,20 @@ denoting the linear map X -> sum_i left_i * X * right_i.  Composition is
 single pair (1, 1), and ad(p) = (p, 1) + (-1, p) is the inner derivation
 X -> pX - Xp.
 
-Tensor sums of pairs have no canonical form in general: a relation like
-(a, r) + (b, r) = (a + b, r) is only visible against a basis of A.  BiOps
-therefore get structural simplification only (pairs sharing a left or a
-right factor are merged, zero pairs pruned), and every meaningful equality
-statement about them is extensional: apply both sides to a probe set and
-compare in A, where equality is canonical.  Each backend's descriptor
-supplies its standard probe set through ``Algebra.probes()`` and callers
-may extend it; this module works over any algebra and imports no backend.
+A BiOp sum_i (l_i, r_i) is the tensor sum_i l_i (x) r_i in A (x) A^op, and
+that tensor has a canonical form: expand each side in its backend's basis
+(``coords()``: matrix entries, or (symbol order, jet monomial) pairs) and
+collect the integer coefficients by basis pair over one common
+denominator.  ``BiOp.of`` still simplifies only structurally (pairs
+sharing a left or a right factor are merged, zero pairs pruned), so
+equality of BiOps is not structural.  A zero tensor is a zero map, so
+``residual_vanishes`` first tries that exact test; when a tensor is not
+zero, or a side has unknown coordinates, it applies the residual to a
+probe set and compares in A, where equality is canonical.  On matrices
+the two tests agree, as A (x) A^op is End(A) and the unit probes span A.
+Each backend's descriptor supplies its standard probe set through
+``Algebra.probes()`` and callers may extend it; this module works over any
+algebra and imports no backend.
 
 Symmetries of the deformed flow obey the same kind of equation as the flow
 itself, dS/dt = [ad(Pq), S], inside the algebra of BiOps; series of BiOps
@@ -29,8 +35,8 @@ W x W^-1 for W = texp(Pq), S(t) = sum_i (W l_i W^-1, W r_i W^-1); the
 tests check that identity and the group law of the deformed symmetries.
 ``exp_ad``, the time-ordered exponential of the lifted path ad(Pq) (the
 parallel transport of the connection d/dt + ad_Pq), stays as the library
-form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.  Both residual maps
-recompute dS/dt - [ad(Pq), S] as dt_series(S) - lift_ad(Pq).bracket(S),
+form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.  The residual
+recomputes dS/dt - [ad(Pq), S] as dt_series(S) - lift_ad(Pq).bracket(S),
 where the BiOp bracket is the difference of the two compositions.
 """
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from .algebra import Algebra, algebra_of, rational
@@ -79,6 +86,26 @@ class BiOp:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def tensor_is_zero(self) -> bool:
+        """Whether sum_i l_i (x) r_i is zero, from the sides' coordinates
+        over the lcm of the pair denominators; False when some side's
+        coordinates are unknown.  A zero tensor denotes the zero map."""
+        coords = [(left.coords(), right.coords()) for left, right in self.terms]
+        if any(cl is None or cr is None for cl, cr in coords):
+            return False
+        den = lcm(*(cl[1] * cr[1] for cl, cr in coords))
+        rows: dict = {}  # left basis key -> {right basis key: numerator}
+        for (lnum, lden), (rnum, rden) in coords:
+            scale = den // (lden * rden)
+            r_items = rnum.items()
+            for kl, a in lnum.items():
+                row = rows.setdefault(kl, {})
+                get = row.get
+                a *= scale
+                for kr, b in r_items:
+                    row[kr] = get(kr, 0) + a * b
+        return not any(any(row.values()) for row in rows.values())
 
     # -- ring operations ----------------------------------------------
 
@@ -213,7 +240,7 @@ def transport(s0: BiOp, pq: QSeries, lq: Optional[QSeries] = None) -> QSeries:
 
 def symmetry3_residual(sq: QSeries, pq: QSeries) -> QSeries:
     """dS/dt - [ad(Pq), S]: the defining equation of transported symmetries,
-    recomputed from scratch.  BiOp-valued; check it against probes."""
+    recomputed from scratch.  BiOp-valued; test it with ``residual_vanishes``."""
     return lax_residual(sq, lift_ad(pq))
 
 
@@ -234,16 +261,6 @@ def apply_series(sq: QSeries, xq: QSeries) -> QSeries:
     return QSeries(alg, tuple(out))
 
 
-def symmetry2_residual(sq: QSeries, pq: QSeries, lq: QSeries) -> QSeries:
-    """The weaker residual (dS/dt - [ad(Pq), S]) applied to Lq.
-
-    Vanishing here is necessary and sufficient for S to be a symmetry in
-    the restricted linear sense; it is strictly weaker than the BiOp-level
-    equation, since a nonzero operator can still annihilate Lq.
-    """
-    return apply_series(symmetry3_residual(sq, pq), lq)
-
-
 def apply_to_probe(sq: QSeries, x: Any) -> QSeries:
     """Apply every BiOp coefficient of a q-series to a fixed probe."""
     base = sq.alg.base
@@ -251,7 +268,11 @@ def apply_to_probe(sq: QSeries, x: Any) -> QSeries:
 
 
 def residual_vanishes(residual: QSeries, probes: Sequence[Any]) -> bool:
-    """Extensional zero test for a BiOp-valued residual series."""
+    """Zero test for a BiOp-valued residual series: exact when every
+    coefficient is a zero tensor, which every probe would confirm;
+    otherwise extensional, on the probes."""
+    if all(bop.tensor_is_zero() for bop in residual.coeffs):
+        return True
     return all(apply_to_probe(residual, x).is_zero() for x in probes)
 
 

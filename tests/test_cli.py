@@ -298,6 +298,29 @@ def test_problem_file_validation_messages(tmp_path, capsys):
         assert field in err
 
 
+def test_problem_file_parses_each_text_once(monkeypatch):
+    # the memo lives for one load: a side equal to L0 is L0's own value, and
+    # a text that fails names the first field it appears in
+    from qlax import BiOp, PsdoSymbol, ProblemFileError, expr
+    from qlax.problemfile import load_problem
+
+    calls = []
+    real = expr.parse_operator
+    monkeypatch.setattr(expr, "parse_operator", lambda text: calls.append(text) or real(text))
+    l0, p = "-d^2 + u", "-4*d^3 + 3*(d*u + u*d)"
+    doc = {"backend": "psdo", "L0": l0, "P": [[0, p], [1, l0]], "N": 2, "S0": [[l0, "1"], ["1", l0]]}
+    for loads in (1, 2):
+        pf = load_problem(doc)
+        assert sorted(calls) == sorted([l0, p, "1"] * loads)
+    one = PsdoSymbol.one()
+    assert pf.s0 == BiOp.of(pf.alg, [(pf.l0, one), (one, pf.l0)])
+    assert pf.p.coeffs[1] is pf.l0 and pf.s0.terms[0][0] is pf.l0
+    for bad, field in ((dict(doc, S0=[[l0, "w"]]), "S0"), (dict(doc, L0="w", S0=[["w", "1"]]), "L0")):
+        with pytest.raises(ProblemFileError) as info:
+            load_problem(bad)
+        assert info.value.field == field and str(info.value) == f"field '{field}': unknown identifier 'w' (line 1, column 1)"
+
+
 def test_problem_file_schema_and_keys(tmp_path, capsys):
     base = json.loads((PROBLEMS / "nilpotent2x2_n2.json").read_text())
     path = tmp_path / "case.json"
@@ -475,6 +498,45 @@ def test_symmetry_kdv(capsys):
     code, out, _ = run(capsys, "symmetry", str(PROBLEMS / "kdv_symmetry_n2.json"))
     assert code == 0
     assert out.count("PASS") == 4
+
+
+def test_symmetry_decides_r3_from_the_tensor_form(monkeypatch, capsys):
+    # the shipped symmetries have a zero r3 tensor, so no probe is applied,
+    # and the report still names the probe count
+    from qlax import symops
+
+    monkeypatch.setattr(symops, "apply_to_probe", None)
+    for name in ("matrix_symmetry_n3.json", "kdv_symmetry_n2.json"):
+        code, out, _ = run(capsys, "symmetry", str(PROBLEMS / name))
+        assert code == 0 and "symmetry3 residual: PASS (checked on 7 probes)" in out
+
+
+def test_symmetry_unit_probes_catch_what_the_problem_probes_miss(monkeypatch, capsys):
+    # X -> tr(X) E_00 = (E_00, E_00) + (E_01, E_10) kills L0 and both P
+    # coefficients of the shipped matrix problem (all traceless) and every
+    # Lq coefficient, so only the probe fallback on a unit matrix sees it
+    from qlax import BiOp, BiOpAlgebra, QSeries, cli, residual_vanishes, symops
+    from qlax.problemfile import load_problem_file
+
+    path = str(PROBLEMS / "matrix_symmetry_n3.json")
+    pf = load_problem_file(path)
+    e00, e01, e10, _ = units = pf.alg.probes()
+    trace_map = BiOp.of(pf.alg, [(e00, e00), (e01, e10)])
+    real = symops.symmetry3_residual
+    bumped = lambda sq, pq: real(sq, pq) + QSeries.term(BiOpAlgebra(pf.alg), pq.trunc, trace_map, 1)
+    sol = cli.lax_solve(pf.lax_problem())
+    r3 = bumped(symops.transport(pf.s0, sol.pq, sol.lq), sol.pq)
+    assert not r3.coeffs[1].tensor_is_zero()
+    assert residual_vanishes(r3, [pf.l0, *pf.p.coeffs]) and not residual_vanishes(r3, units)
+    monkeypatch.setattr(cli, "symmetry3_residual", bumped)
+    code, out, _ = run(capsys, "symmetry", path)
+    assert code == 1
+    assert out == (
+        "symmetry3 residual: FAIL (checked on 7 probes)\n"
+        "symmetry2 residual: PASS (exact)\n"
+        "transported solution: PASS\n"
+        "FAIL\n"
+    )
 
 
 def test_symmetry_identity_s0(tmp_path, capsys):

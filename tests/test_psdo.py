@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qlax import (
     DiffPoly,
+    psdo,
     PrecisionExhausted,
     PsdoSymbol,
     commutator,
@@ -22,7 +23,7 @@ from qlax import (
     kdv_pair,
 )
 
-from conftest import diffops, diffpolys, rand_diffop, int_stream, rint
+from conftest import diffops, diffpolys, rand_diffop, int_stream, rint, small_fractions
 
 U = DiffPoly.u(0)
 U1 = DiffPoly.u(1)
@@ -274,6 +275,41 @@ def test_compose_matches_symbol_rule_reference(ta, tb, fa, fb, work):
     lowest = -10 if got.floor is None else got.floor  # an exact result has no order below -6
     ref = symbol_rule_compose(a, b, lowest)
     assert got.terms == tuple((n, ref[n]) for n in sorted(ref, reverse=True) if not ref[n].is_zero())
+
+
+def general_compose(a: PsdoSymbol, b: PsdoSymbol, floor=None) -> PsdoSymbol:
+    """compose without its constant-symbol shortcut: the symbol rule."""
+    return psdo._sum_of_products(((a, b, 1),), psdo._result_floor(a, b, floor), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbol_terms, floors, st.just(Fraction(1)) | small_fractions.filter(bool), floors,
+       st.none() | st.integers(-6, -1))
+def test_compose_with_a_constant_matches_the_symbol_rule(ts, fs, c, fc, work):
+    """A constant side, floored or not, on either side of any symbol,
+    negative orders and floors included, with and without a working floor."""
+    s = PsdoSymbol.of(ts.items(), fs)
+    const = PsdoSymbol.of([(0, DiffPoly.const(c))], fc)
+    for x, y in ((const, s), (s, const)):
+        assert compose(x, y, floor=work) == general_compose(x, y, work)
+    if fc is None and work is None and c == 1 and s != const:
+        assert compose(const, s) is s and compose(s, const) is s
+
+
+def test_constant_sides_skip_the_symbol_rule(monkeypatch):
+    l_op = kdv_pair().L
+    cut = PsdoSymbol.of(l_op.terms, floor=-2)
+    two = PsdoSymbol.const(2)
+    expected = {(a, b): general_compose(a, b) for a in (two, l_op, cut) for b in (two, l_op, cut)}
+    monkeypatch.setattr(psdo, "_sum_of_products", None)
+    for x in (l_op, cut, two):
+        assert compose(PsdoSymbol.one(), x) is x and compose(x, PsdoSymbol.one()) is x
+        assert compose(two, x) == expected[two, x] and compose(x, two) == expected[x, two]
+        assert compose(two, x).floor == x.floor
+    with pytest.raises(TypeError):  # an explicit floor takes the general path
+        compose(two, l_op, floor=-1)
+    with pytest.raises(TypeError):  # so does a non-constant pair
+        compose(l_op, cut)
 
 
 def bracket_or_error(f):

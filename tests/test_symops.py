@@ -1,8 +1,9 @@
 """Tensor-pair operators, inner derivations, and symmetry transport.
 
-BiOp equality is extensional (probe-based) wherever tensor relations could
-hide: that is the module's contract.  Checks that land back in matrices or
-symbols are exact structural equalities.
+A BiOp's pair list is not canonical, so BiOp equality is either the exact
+zero test of its tensor (``tensor_is_zero``) or extensional, on probes.
+Checks that land back in matrices or symbols are exact structural
+equalities.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from qlax import (
     BiOp,
     BiOpAlgebra,
+    DiffPoly,
     LaxProblem,
     MatrixAlgebra,
     PsdoAlgebra,
@@ -32,14 +34,14 @@ from qlax import (
     mat_random,
     parse_operator,
     residual_vanishes,
-    symmetry2_residual,
     symmetry3_residual,
     texp,
     transport,
     transported_solution_check,
 )
 
-from conftest import int_stream, rint
+from conftest import diffops, int_stream, matrices, rint, small_fractions
+from reference import symmetry2_residual
 
 M2 = MatrixAlgebra(2)
 UNITS2 = M2.probes()
@@ -394,6 +396,104 @@ def test_symmetry2_is_strictly_weaker():
     sq = QSeries.of(BiOpAlgebra(M2), (BiOp.identity(M2), witness))  # 1 + q*t*witness
     assert not residual_vanishes(symmetry3_residual(sq, sol.pq), UNITS2)
     assert symmetry2_residual(sq, sol.pq, sol.lq).is_zero()
+
+
+# -- the tensor form -------------------------------------------------------------
+
+def test_coords_spell_out_each_backend_value():
+    m = RatMatrix.of([["1/2", 0], [-3, "1/4"]])
+    nums, den = m.coords()
+    assert den == 4 and nums == {(0, 0): 2, (1, 0): -12, (1, 1): 1}
+    assert M2.zero.coords() == ({}, 1)
+    u = DiffPoly.u(0)
+    sym = PsdoSymbol.of([(2, DiffPoly.const("-1/3")), (0, u.scale(Fraction(1, 2)) + DiffPoly.one())])
+    nums, den = sym.coords()
+    assert den == 6 and nums == {(2, 0): -2, (0, 1): 3, (0, 0): 6}
+    assert PsdoSymbol.of(sym.terms, floor=-2).coords() is None
+
+
+nonzero_scalars = small_fractions.filter(bool)
+
+
+@st.composite
+def tensor_sums(draw, elements):
+    """Raw pair lists (no structural simplification) in which some pairs are
+    cancelled by bilinearity: (l, r) against ((l - x)c, -r/c) and (-x, r)."""
+    pairs = draw(st.lists(st.tuples(elements, elements), max_size=3))
+    terms = list(pairs)
+    for left, right in pairs:
+        if draw(st.booleans()):
+            x, c = draw(elements), draw(nonzero_scalars)
+            terms += [((left - x).scale(c), (-right).scale(1 / c)), (-x, right)]
+    return terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(tensor_sums(matrices(2, bound=2)))
+def test_matrix_tensor_is_zero_exactly_when_every_unit_vanishes(terms):
+    # M_n (x) M_n^op is End(M_n), and the matrix units span M_n
+    bop = BiOp(M2, tuple(terms))
+    assert bop.tensor_is_zero() == all(bop.apply(x).is_zero() for x in UNITS2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_sums(diffops(max_order=2)), st.lists(diffops(max_order=2), max_size=2))
+def test_zero_tensor_maps_every_probe_to_zero(terms, extra):
+    palg = PsdoAlgebra()
+    bop = BiOp(palg, tuple(terms))
+    if bop.tensor_is_zero():
+        assert all(bop.apply(x).is_zero() for x in palg.probes() + extra)
+    if all(left.is_zero() or right.is_zero() for left, right in BiOp.of(palg, terms).terms):
+        assert bop.tensor_is_zero()
+
+
+def counting_probe_loop(monkeypatch):
+    from qlax import symops
+
+    calls = []
+    real = symops.apply_to_probe
+    monkeypatch.setattr(symops, "apply_to_probe", lambda sq, x: calls.append(x) or real(sq, x))
+    return calls
+
+
+def test_unknown_coordinates_leave_the_verdict_to_the_probes(monkeypatch):
+    # below a floor the coordinates are unknown, so even a pair and its
+    # negative are not a zero tensor; the probes decide
+    palg = PsdoAlgebra()
+    cut = PsdoSymbol.of(kdv_pair().L.terms, floor=-1)
+    bop = BiOp(palg, ((cut, PsdoSymbol.one()), (-cut, PsdoSymbol.one())))
+    assert not bop.tensor_is_zero()
+    series = QSeries.term(BiOpAlgebra(palg), 1, bop, 1)
+    calls = counting_probe_loop(monkeypatch)
+    expected = all(apply_to_probe(series, x).is_zero() for x in palg.probes())
+    assert residual_vanishes(series, palg.probes()) == expected and calls
+
+
+def bump_first_pair(r3):
+    """r3 with the left side of its first pair doubled."""
+    k = next(k for k, bop in enumerate(r3.coeffs) if bop.terms)
+    (left, right), *rest = r3.coeffs[k].terms
+    bumped = BiOp(r3.coeffs[k].alg, ((left.scale(2), right), *rest))
+    return QSeries(r3.alg, r3.coeffs[:k] + (bumped,) + r3.coeffs[k + 1:])
+
+
+def test_perturbed_r3_coefficient_fails_through_the_probes(monkeypatch):
+    l_op, p_op = kdv_pair()
+    palg = PsdoAlgebra()
+    kdv = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=3)
+    matrix = rand_problem(83, n=3, nn=2, deg=1)
+    cases = (
+        (kdv, BiOp.of(palg, [(PsdoSymbol.one(), l_op)]), palg.probes() + [l_op, p_op]),
+        (kdv, BiOp.of(palg, [(PsdoSymbol.xi(1), PsdoSymbol.from_dp(DiffPoly.u(0)))]), palg.probes() + [l_op, p_op]),
+        (matrix, rand_biop(M2, int_stream(89)), UNITS2 + [matrix.l0]),
+    )
+    for prob, s0, probes in cases:
+        sol = lax_solve(prob)
+        r3 = symmetry3_residual(transport(s0, sol.pq, sol.lq), sol.pq)
+        calls = counting_probe_loop(monkeypatch)
+        assert any(bop.terms for bop in r3.coeffs)  # not decided by an empty BiOp
+        assert residual_vanishes(r3, probes) and not calls
+        assert not residual_vanishes(bump_first_pair(r3), probes) and calls
 
 
 # -- transported solutions -------------------------------------------------------
