@@ -16,7 +16,6 @@ from .errors import (
     ProblemFileError,
     QlaxError,
     ShapeMismatch,
-    Singular,
     TruncationMismatch,
     UnboundIdentifier,
     ValuationError,
@@ -82,7 +81,6 @@ __all__ = [
     "QlaxError",
     "RatMatrix",
     "ShapeMismatch",
-    "Singular",
     "TPoly",
     "TruncationMismatch",
     "UnboundIdentifier",

@@ -6,16 +6,22 @@ stored in lowest terms with a positive denominator, so nothing ever rounds.
 An :class:`Algebra` value describes a unital associative algebra over the
 rationals.  It only has to supply ``zero``, ``one`` and ``probes()``.  The
 element values themselves implement ``+``, ``-``, ``*`` (possibly
-noncommutative), ``bracket(y)`` = x*y - y*x (the one commutator kernel,
-which flows and residuals step with), ``scale(c)`` by an exact rational,
-``is_zero()``, structural ``==`` on canonical forms, ``to_json()`` and
-``max_abs()``.  A backend value also gives its coordinates, ``coords()``:
-a dict from basis key to nonzero integer numerator over one positive
-denominator ``den``, or None when some coordinate is unknown (a symbol
-below its precision floor); the exact zero test of a ``BiOp`` reads them.
-The generic containers ``QSeries`` and ``BiOp`` work over any such algebra
-and their values are elements in the same sense, so a q-series of BiOps
-over matrices is one more instance of the same contract.
+noncommutative), ``bracket(y)`` = x*y - y*x, ``scale(c)`` by an exact
+rational, ``is_zero()``, structural ``==`` on canonical forms,
+``to_json()`` and ``max_abs()``.  The element type also has one static
+multiply-accumulate kernel, ``dot(pairs, bracket=False, divisor=1)``: over
+a nonempty sequence of (a, b) pairs it returns (sum of a*b) / divisor, or
+(sum of [a, b]) / divisor when ``bracket`` is set, for a positive integer
+divisor, reducing once at the end.  Every series product, bracket and
+Taylor step is one ``dot`` call per q-order, found through
+``type(alg.zero)``.  A backend value also gives its coordinates,
+``coords()``: a dict from basis key to nonzero integer numerator over one
+positive denominator ``den``, or None when some coordinate is unknown (a
+symbol below its precision floor); the exact zero test of a ``BiOp``
+reads them.  The generic container ``BiOp`` works over any such algebra
+and its values are elements in the same sense, so a q-series of BiOps
+over matrices is one more instance of the same contract; a ``QSeries``
+has the same ring operations but is never itself a coefficient.
 
 A path P(t) is given as a :class:`TPoly`, an exact polynomial in t.  Once
 deformed it becomes a q-series whose q^k coefficient carries a single,
@@ -34,25 +40,34 @@ from typing import Any, Iterable
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
-def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or a string like ``-3/7`` to a Fraction.
+def rational_parts(value: int | str | Fraction) -> tuple[int, int]:
+    """An int, Fraction, or a string like ``-3/7`` as integer (numerator,
+    denominator) parts, the denominator positive but not always in lowest
+    terms (``"2/4"`` gives (2, 4)).
 
     Floats are rejected: they would smuggle rounding into the kernel, and
     so are booleans, which Python counts as integers.
     """
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not an exact rational literal: {value!r}")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"denominator must be positive: {value!r}") from None
+        num, _, den = text.partition("/")
+        n, d = int(num), int(den or 1)
+        if not d:
+            raise ValueError(f"denominator must be positive: {value!r}")
+        return n, d
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
+
+
+def rational(value: int | str | Fraction) -> Fraction:
+    """Coerce an int, Fraction, or a string like ``-3/7`` to a Fraction,
+    rejecting what ``rational_parts`` rejects."""
+    return value if isinstance(value, Fraction) else Fraction(*rational_parts(value))
 
 
 class Algebra(ABC):

@@ -40,8 +40,9 @@ from .render import (
 )
 from .symops import (
     apply_series,
-    residual_vanishes,
+    probes_vanish,
     symmetry3_residual,
+    tensor_vanishes,
     transport,
     transported_solution_check,
 )
@@ -165,8 +166,9 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     sq = transport(pf.s0, sol.pq, sol.lq)
     probes = _symmetry_probes(args, pf)
     r3 = symmetry3_residual(sq, sol.pq)
-    r3_zero = residual_vanishes(r3, probes)
-    r2_zero = apply_series(r3, sol.lq).is_zero()  # the symmetry2 residual, reusing r3
+    exact = tensor_vanishes(r3)  # then r3 maps every element to zero, Lq included
+    r3_zero = exact or probes_vanish(r3, probes)
+    r2_zero = exact or apply_series(r3, sol.lq).is_zero()  # the symmetry2 residual, reusing r3
     carried = transported_solution_check(pf.s0, prob, sol, sq)
     ok = r3_zero and r2_zero and carried
     if _resolve_format(args) == "json":

@@ -36,10 +36,6 @@ class DegreeOverflow(QlaxError):
     a packed monomial holds (``diffpoly.MAX_DEGREE``)."""
 
 
-class Singular(QlaxError):
-    """Attempt to invert a singular matrix."""
-
-
 class ParseError(QlaxError):
     """Syntax error in the operator DSL, carrying the source position."""
 

@@ -21,10 +21,12 @@ W solves dW/dt = Pq*W with W(0) = 1 and the flow Lq solves
 dLq/dt = [Pq, Lq] with Lq(0) = L0.  Read order by order in q, both are one
 Taylor recurrence (the Jorba-Zou method), which ``_taylor`` runs:
 
-    x_0 given,   k * x_k = sum_{m=1..min(k, d+1)} step(pq_m, x_{k-m})
+    x_0 given,   x_k = (1/k) sum_{m=1..min(k, d+1)} step(pq_m, x_{k-m})
 
-for d = deg_t(P), with step(p, x) = p*x in ``texp`` and the element
-bracket p.bracket(x) = p*x - x*p in ``flow``.  The truncated solution from
+for d = deg_t(P), with step(p, x) = p*x in ``texp`` and the bracket
+p*x - x*p in ``flow``.  Each x_k is one call of the coefficient type's
+kernel, dot(pairs, bracket, divisor=k) (see ``algebra``), which sums the
+steps and divides by k with one reduction.  The truncated solution from
 x_0 is unique, so flow(x) is the conjugation W x W^-1; only the tests build
 W^-1 to check that.  W is also the sum of the iterated integrals a_0 = 1,
 a_i = integral_0^t Pq a_{i-1} (val(a_i) >= i), which ``iterated_integrals``
@@ -40,9 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add
-from typing import Any, Callable, List
+from functools import cached_property
+from typing import Any, List
 
 from .algebra import Algebra, TPoly, rational
 from .errors import ValuationError
@@ -128,26 +129,29 @@ def iterated_integrals(pq: QSeries) -> List[QSeries]:
     return terms
 
 
-def _taylor(x0: Any, pq: QSeries, step: Callable[[Any, Any], Any]) -> QSeries:
-    """The solution of dX/dt = step(Pq, X) with X(0) = x0."""
+def _taylor(x0: Any, pq: QSeries, bracket: bool) -> QSeries:
+    """The solution of dX/dt = Pq*X, or of dX/dt = [Pq, X] when ``bracket``
+    is set, with X(0) = x0: one kernel call per q-order."""
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
+    zero = pq.alg.zero
+    dot = type(zero).dot
     path = [(m, p) for m, p in enumerate(pq.coeffs) if not p.is_zero()]
     x = [x0]
     for k in range(1, pq.trunc + 1):
-        terms = [step(p, x[k - m]) for m, p in path if m <= k and not x[k - m].is_zero()]
-        x.append(reduce(add, terms).scale(Fraction(1, k)) if terms else pq.alg.zero)
+        pairs = [(p, x[k - m]) for m, p in path if m <= k and not x[k - m].is_zero()]
+        x.append(dot(pairs, bracket, k) if pairs else zero)
     return QSeries(pq.alg, tuple(x))
 
 
 def texp(pq: QSeries) -> QSeries:
     """Time-ordered exponential W with dW/dt = pq * W and W(0) = 1."""
-    return _taylor(pq.alg.one, pq, lambda p, w: p * w)
+    return _taylor(pq.alg.one, pq, False)
 
 
 def flow(x0: Any, pq: QSeries) -> QSeries:
     """The Lax flow dX/dt = [pq, X] started at X(0) = x0."""
-    return _taylor(x0, pq, lambda p, x: p.bracket(x))
+    return _taylor(x0, pq, True)
 
 
 @dataclass(frozen=True)

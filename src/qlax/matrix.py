@@ -2,15 +2,15 @@
 
 This is the workhorse for brute-force oracles and randomized checks: every
 generic identity in the kernel can be instantiated here and verified by
-honest matrix arithmetic, including exact inversion.
+honest matrix arithmetic.
 
 A matrix is stored as integer numerators over one positive common
 denominator, reduced so that no prime divides the denominator and every
-numerator.  A product is then an integer matrix product followed by one
-gcd reduction, instead of one ``Fraction`` normalisation per entry
-operation; ``entries`` gives the ``Fraction`` view for the elimination
-routines.  Combining matrices of different sizes raises
-:class:`~qlax.errors.ShapeMismatch`.
+numerator.  Every product goes through ``RatMatrix.dot``: a sum of
+products or brackets is one integer matrix product followed by one gcd
+reduction, instead of one ``Fraction`` normalisation per entry operation;
+``entries`` gives the ``Fraction`` view.  Combining matrices of different
+sizes raises :class:`~qlax.errors.ShapeMismatch`.
 
 Randomness is a linear congruential generator with fixed 64-bit constants
 (Knuth's MMIX multiplier 6364136223846793005 and increment
@@ -28,8 +28,8 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import Algebra, rational
-from .errors import ShapeMismatch, Singular
+from .algebra import Algebra, rational, rational_parts
+from .errors import ShapeMismatch
 from .laxflow import MAX_ORDER, LaxProblem, eval_tq, lax_solve
 
 _LCG_MULT = 6364136223846793005
@@ -75,14 +75,11 @@ class RatMatrix:
 
     @staticmethod
     def of(rows: Iterable[Sequence[int | str | Fraction]]) -> "RatMatrix":
-        data = [[rational(x) for x in row] for row in rows]
+        data = [[rational_parts(x) for x in row] for row in rows]
         if not data or any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square and nonempty")
-        # The least common denominator leaves no factor common to all entries.
-        den = lcm(*(x.denominator for row in data for x in row))
-        return RatMatrix(
-            tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data), den
-        )
+        den = lcm(*(d for row in data for _, d in row))
+        return _canonical(tuple(tuple(p * (den // d) for p, d in row) for row in data), den)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -135,73 +132,50 @@ class RatMatrix:
         return self._combine(other, sub, -1)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check(other)
-        cols = tuple(zip(*other.num))
-        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
-        return _canonical(num, self.den * other.den)
+        return RatMatrix.dot(((self, other),))
 
     def bracket(self, other: "RatMatrix") -> "RatMatrix":
-        """self*other - other*self in one integer pass over both denominators."""
-        self._check(other)
-        cols = tuple(zip(zip(*self.num), zip(*other.num)))
-        num = tuple(tuple(sum(map(mul, ra, cb)) - sum(map(mul, rb, ca)) for ca, cb in cols)
-                    for ra, rb in zip(self.num, other.num))
-        return _canonical(num, self.den * other.den)
+        """self*other - other*self."""
+        return RatMatrix.dot(((self, other),), True)
+
+    @staticmethod
+    def dot(pairs: Sequence[Tuple["RatMatrix", "RatMatrix"]], bracket: bool = False, divisor: int = 1) -> "RatMatrix":
+        """(sum of a*b) / divisor over a nonempty sequence of (a, b) pairs, or
+        (sum of [a, b]) / divisor when ``bracket`` is set.
+
+        Sum_p A_p B_p is one product of the row of blocks [A_1 .. A_P] with
+        the column of blocks [B_1; ..; B_P], and [A, B] adds the blocks -B
+        and A; each left block carries its pair's factor to the lcm of the
+        pair denominators, and the sum is reduced once, over that lcm times
+        ``divisor`` (a positive integer).
+        """
+        n = len(pairs[0][0].num)
+        den = lcm(*(a.den * b.den for a, b in pairs))
+        rows: List[list] = [[] for _ in range(n)]
+        right: list = []
+        for a, b in pairs:
+            if len(a.num) != n or len(b.num) != n:
+                other = len(b.num) if len(a.num) == n else len(a.num)
+                raise ShapeMismatch(f"matrix sizes differ: {n} vs {other}")
+            f = den // (a.den * b.den)
+            for x, y, c in ((a, b, f), (b, a, -f)) if bracket else ((a, b, f),):
+                for row, xr in zip(rows, x.num):
+                    row += xr if c == 1 else [c * v for v in xr]
+                right += y.num
+        cols = tuple(zip(*right))
+        return _canonical(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows), den * divisor)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
     def scale(self, c: Fraction) -> "RatMatrix":
-        c = rational(c)
-        p = c.numerator
-        return _canonical(tuple(tuple(p * x for x in row) for row in self.num), self.den * c.denominator)
+        p, d = rational_parts(c)
+        return _canonical(tuple(tuple(p * x for x in row) for row in self.num), self.den * d)
 
     # -- linear algebra -------------------------------------------------
 
     def trace(self) -> Fraction:
         return Fraction(sum(self.num[i][i] for i in range(self.n)), self.den)
-
-    def det(self) -> Fraction:
-        """Exact determinant by fraction-preserving elimination."""
-        n = self.n
-        rows = [list(r) for r in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for r in range(col + 1, n):
-                factor = rows[r][col] * inv
-                if factor == 0:
-                    continue
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-        return det
-
-    def invert(self) -> "RatMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises Singular."""
-        n = self.n
-        unit = RatMatrix.identity(n).entries
-        aug = [list(row) + list(unit[i]) for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise Singular("matrix has no inverse")
-            if pivot != col:
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r == col or aug[r][col] == 0:
-                    continue
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return RatMatrix.of(row[n:] for row in aug)
 
     def max_abs(self) -> Fraction:
         return Fraction(max(abs(x) for row in self.num for x in row), self.den)

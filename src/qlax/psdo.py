@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra, rational
 from .diffpoly import DiffPoly, check_degree
@@ -128,10 +128,26 @@ class PsdoSymbol:
 
     def bracket(self, other: "PsdoSymbol") -> "PsdoSymbol":
         """compose(self, other) - compose(other, self), raising what either
-        would raise.  Their j = 0 terms a_k*b_m and b_m*a_k cancel, as the
-        coefficients commute, so both sides start at j = 1."""
-        fl = self._combine_floor(_result_floor(self, other, None), _result_floor(other, self, None))
-        return _sum_of_products(((self, other, 1), (other, self, -1)), fl, 1)
+        would raise."""
+        return PsdoSymbol.dot(((self, other),), True)
+
+    @staticmethod
+    def dot(pairs: Sequence[Tuple["PsdoSymbol", "PsdoSymbol"]], bracket: bool = False, divisor: int = 1) -> "PsdoSymbol":
+        """(sum of compose(a, b)) / divisor over the (a, b) pairs, or the sum
+        of the brackets [a, b] when ``bracket`` is set, raising what any
+        composition would raise.  The floor combines the floors of the
+        compositions as ``+`` does, and ``divisor`` (a positive integer)
+        joins the denominator of every coefficient.  In a bracket the j = 0
+        terms a_k*b_m and b_m*a_k cancel, as the coefficients commute, so
+        both sides start at j = 1."""
+        floor, products = None, []
+        for a, b in pairs:
+            floor = PsdoSymbol._combine_floor(floor, _result_floor(a, b, None))
+            products.append((a, b, 1))
+            if bracket:
+                floor = PsdoSymbol._combine_floor(floor, _result_floor(b, a, None))
+                products.append((b, a, -1))
+        return _sum_of_products(products, floor, int(bracket), divisor)
 
     def __pow__(self, n: int) -> "PsdoSymbol":
         if n < 0:
@@ -261,13 +277,14 @@ def _result_floor(a: PsdoSymbol, b: PsdoSymbol, floor: Optional[int]) -> Optiona
     return result_floor
 
 
-def _sum_of_products(products: tuple, result_floor: Optional[int], first: int) -> PsdoSymbol:
+def _sum_of_products(products: Sequence, result_floor: Optional[int], first: int, divisor: int = 1) -> PsdoSymbol:
     # Sum sign times the terms j >= first of sigma(A o B) over the
-    # (A, B, sign) products.  Accumulate integer tables per output order,
-    # each over one common denominator that grows to the lcm of what it
-    # receives, and reduce once per order at the end.  The coefficient of
-    # d_xi^j / j! is the binomial C(k, j), an integer for negative k too.
-    # The D_x chains of the right factor are shared across left terms.
+    # (A, B, sign) products, divided by divisor.  Accumulate integer tables
+    # per output order, each over one common denominator that grows to the
+    # lcm of what it receives, and reduce once per order at the end.  The
+    # coefficient of d_xi^j / j! is the binomial C(k, j), an integer for
+    # negative k too.  The D_x chains of the right factor are shared across
+    # left terms.
     out: dict[int, list] = {}  # order -> [{packed monomial: numerator}, denominator]
     for a, b, sign in products:
         for m, bm in b.terms:
@@ -308,7 +325,7 @@ def _sum_of_products(products: tuple, result_floor: Optional[int], first: int) -
                     if chain[j].is_zero():
                         break
     return PsdoSymbol.of(
-        ((n, DiffPoly.of(table.items(), den)) for n, (table, den) in out.items()), result_floor
+        ((n, DiffPoly.of(table.items(), den * divisor)) for n, (table, den) in out.items()), result_floor
     )
 
 

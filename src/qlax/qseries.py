@@ -13,6 +13,9 @@ weight w of the series (0 for W and Lq, 1 for Pq and the residuals; see
 ``laxflow``).  Nothing here depends on w: products add weights, and the
 Cauchy product below is the same for every weight; ``bracket`` is that
 product with each c_i*d_j replaced by the coefficient bracket [c_i, d_j].
+Each output order is one call of the coefficient type's kernel ``dot``
+(see ``algebra``) over the nonzero pairs (c_i, d_{k-i}), so a coefficient
+is reduced once, not once per product and per sum.
 
 The grading is what makes the group theory finite: a product of series with
 valuations n and m has valuation at least n + m, so for any s with
@@ -39,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Any, Callable, Iterable, Optional
 
 from .algebra import Algebra, rational
@@ -138,28 +140,25 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Cauchy product cut at q^N; factor order preserved."""
-        return self._cauchy(other, mul)
+        return self._cauchy(other, False)
 
     def bracket(self, other: "QSeries") -> "QSeries":
         """self*other - other*self as one Cauchy product of coefficient
         brackets, [c_i, d_j] at q^(i+j)."""
-        return self._cauchy(other, lambda c, d: c.bracket(d))
+        return self._cauchy(other, True)
 
-    def _cauchy(self, other: "QSeries", product: Callable[[Any, Any], Any]) -> "QSeries":
+    def _cauchy(self, other: "QSeries", bracket: bool) -> "QSeries":
+        # One kernel call per output order over its nonzero (c_i, d_j) pairs.
         self._check(other)
-        n = self.trunc
-        out: list = [None] * (n + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                dj = other.coeffs[j]
-                if dj.is_zero():
-                    continue
-                prod = product(ci, dj)
-                out[i + j] = prod if out[i + j] is None else out[i + j] + prod
         zero = self.alg.zero
-        return QSeries(self.alg, tuple(zero if c is None else c for c in out))
+        dot = type(zero).dot
+        left = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        right = [None if d.is_zero() else d for d in other.coeffs]
+        out = []
+        for k in range(self.trunc + 1):
+            pairs = [(c, right[k - i]) for i, c in left if i <= k and right[k - i] is not None]
+            out.append(dot(pairs, bracket) if pairs else zero)
+        return QSeries(self.alg, tuple(out))
 
     def scale(self, c: Fraction) -> "QSeries":
         c = rational(c)

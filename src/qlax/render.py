@@ -145,6 +145,12 @@ def dumps(obj: Any) -> str:
                 out.append(end + "}")
             elif all(isinstance(v, str) for v in x):  # a matrix row: one join
                 out.append("[" + inner + sep.join(map(_quote, x)) + end + "]")
+            elif all(isinstance(v, list) and v and all(isinstance(s, str) for s in v) for v in x):
+                # a matrix: one nested join
+                row_inner = inner + "  "
+                row_sep = "," + row_inner
+                rows = ("[" + row_inner + row_sep.join(map(_quote, v)) + inner + "]" for v in x)
+                out.append("[" + inner + sep.join(rows) + end + "]")
             else:
                 lead = "[" + inner
                 for v in x:

@@ -13,9 +13,10 @@ collect the integer coefficients by basis pair over one common
 denominator.  ``BiOp.of`` still simplifies only structurally (pairs
 sharing a left or a right factor are merged, zero pairs pruned), so
 equality of BiOps is not structural.  A zero tensor is a zero map, so
-``residual_vanishes`` first tries that exact test; when a tensor is not
-zero, or a side has unknown coordinates, it applies the residual to a
-probe set and compares in A, where equality is canonical.  On matrices
+``residual_vanishes`` first tries that exact test (``tensor_vanishes``);
+when a tensor is not zero, or a side has unknown coordinates, it applies
+the residual to a probe set and compares in A, where equality is canonical
+(``probes_vanish``).  On matrices
 the two tests agree, as A (x) A^op is End(A) and the unit probes span A.
 Each backend's descriptor supplies its standard probe set through
 ``Algebra.probes()`` and callers may extend it; this module works over any
@@ -120,11 +121,20 @@ class BiOp:
 
     def __mul__(self, other: "BiOp") -> "BiOp":
         """Composition of the denoted maps: (a,b) o (c,d) = (a*c, d*b)."""
-        pairs = []
-        for a, b in self.terms:
-            for c, d in other.terms:
-                pairs.append((a * c, d * b))
-        return BiOp.of(self.alg, pairs)
+        return BiOp.dot(((self, other),))
+
+    @staticmethod
+    def dot(pairs: Sequence[Tuple["BiOp", "BiOp"]], bracket: bool = False, divisor: int = 1) -> "BiOp":
+        """(sum of x*y) / divisor over a nonempty sequence of (x, y) pairs,
+        or (sum of x*y - y*x) / divisor when ``bracket`` is set: one
+        ``BiOp.of`` over every composed pair."""
+        composed = []
+        for x, y in pairs:
+            composed += [(a * c, d * b) for a, b in x.terms for c, d in y.terms]
+            if bracket:
+                composed += [(-(c * a), b * d) for c, d in y.terms for a, b in x.terms]
+        out = BiOp.of(pairs[0][0].alg, composed)
+        return out if divisor == 1 else out.scale(Fraction(1, divisor))
 
     def bracket(self, other: "BiOp") -> "BiOp":
         return self * other - other * self
@@ -267,13 +277,22 @@ def apply_to_probe(sq: QSeries, x: Any) -> QSeries:
     return sq.map_coeffs(lambda bop: bop.apply(x) if bop.terms else base.zero, alg=base)
 
 
+def tensor_vanishes(residual: QSeries) -> bool:
+    """Whether every coefficient of a BiOp-valued series is a zero tensor:
+    then the residual maps every element to zero, an exact verdict."""
+    return all(bop.tensor_is_zero() for bop in residual.coeffs)
+
+
+def probes_vanish(residual: QSeries, probes: Sequence[Any]) -> bool:
+    """Whether a BiOp-valued series maps every probe to zero."""
+    return all(apply_to_probe(residual, x).is_zero() for x in probes)
+
+
 def residual_vanishes(residual: QSeries, probes: Sequence[Any]) -> bool:
     """Zero test for a BiOp-valued residual series: exact when every
     coefficient is a zero tensor, which every probe would confirm;
     otherwise extensional, on the probes."""
-    if all(bop.tensor_is_zero() for bop in residual.coeffs):
-        return True
-    return all(apply_to_probe(residual, x).is_zero() for x in probes)
+    return tensor_vanishes(residual) or probes_vanish(residual, probes)
 
 
 def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq: QSeries) -> bool:

@@ -1,10 +1,13 @@
-"""Reference maps that only the tests use.
+"""Reference maps, and exact matrix determinant and inverse, that only the
+tests use.
 
 Each one restates a definition from the paper on top of the library's
 public operations, so a test can compare a command's shortcut with it.
 """
 
-from qlax import QSeries, apply_series, symmetry3_residual
+from fractions import Fraction
+
+from qlax import QlaxError, QSeries, RatMatrix, apply_series, symmetry3_residual
 
 
 def symmetry2_residual(sq: QSeries, pq: QSeries, lq: QSeries) -> QSeries:
@@ -15,3 +18,51 @@ def symmetry2_residual(sq: QSeries, pq: QSeries, lq: QSeries) -> QSeries:
     equation, since a nonzero operator can still annihilate Lq.
     """
     return apply_series(symmetry3_residual(sq, pq), lq)
+
+
+class Singular(QlaxError):
+    """Attempt to invert a singular matrix."""
+
+
+def det(m: RatMatrix) -> Fraction:
+    """Exact determinant by fraction-preserving elimination."""
+    n = m.n
+    rows = [list(r) for r in m.entries]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            result = -result
+        result *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] * inv
+            if factor == 0:
+                continue
+            for c in range(col, n):
+                rows[r][c] -= factor * rows[col][c]
+    return result
+
+
+def invert(m: RatMatrix) -> RatMatrix:
+    """Exact inverse by Gauss-Jordan elimination; raises Singular."""
+    n = m.n
+    unit = RatMatrix.identity(n).entries
+    aug = [list(row) + list(unit[i]) for i, row in enumerate(m.entries)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise Singular("matrix has no inverse")
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r == col or aug[r][col] == 0:
+                continue
+            factor = aug[r][col]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return RatMatrix.of(row[n:] for row in aug)

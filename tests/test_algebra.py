@@ -20,6 +20,7 @@ from qlax import (
     integrate_series,
     rational,
 )
+from qlax.algebra import rational_parts
 
 from conftest import matrices, small_fractions
 
@@ -43,6 +44,17 @@ def test_rational_rejects_inexact():
         rational("1.5")
     with pytest.raises(ValueError):
         rational("3/0")  # not a positive-denominator literal
+
+
+def test_rational_parts_are_integers():
+    assert rational_parts(" -6/4 ") == (-6, 4)  # RatMatrix.of reduces once per matrix
+    assert rational_parts("7") == (7, 1) and rational_parts(5) == (5, 1)
+    assert rational_parts(Fraction(-6, 4)) == (-3, 2)
+    for bad, error in ((0.5, TypeError), (True, TypeError), (None, TypeError), ("2.5", ValueError), ("1/0", ValueError), ("1/-2", ValueError)):
+        with pytest.raises(error):
+            rational_parts(bad)
+        with pytest.raises(error):
+            rational(bad)
 
 
 def scalar(c) -> RatMatrix:

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -204,17 +205,38 @@ def first_order_terms(a, b):
 
 
 def test_flow_with_a_wrong_bracket_fails_the_checks(monkeypatch, capsys):
-    # The flow and every residual step with the same element bracket, so a
-    # flow stepping with another bracket must be caught by the residual.
+    # The flow and every residual go through the same element kernel, so a
+    # flow run with a wrong kernel must be caught by the residual, which
+    # keeps the real one.
+    from functools import reduce
+    from operator import add
+
     from qlax import symops
 
-    swapped = lambda p, x: x.bracket(p)
-    no_j1 = lambda p, x: p.bracket(x) - first_order_terms(p, x)
-    for step, names in (
+    def swapped(real):
+        return lambda pairs, bracket=False, divisor=1: real([(x, p) for p, x in pairs], bracket, divisor)
+
+    def no_j1(real):
+        def dot(pairs, bracket=False, divisor=1):
+            j1 = reduce(add, (first_order_terms(p, x) for p, x in pairs))
+            return real(pairs, bracket, divisor) - j1.scale(Fraction(1, divisor))
+        return dot
+
+    real_flow = laxflow.flow
+
+    def flow_with(kernel):
+        def wrong(x0, pq):
+            cls = type(pq.alg.zero)
+            with monkeypatch.context() as m:
+                m.setattr(cls, "dot", staticmethod(kernel(cls.dot)))
+                return real_flow(x0, pq)
+        return wrong
+
+    for kernel, names in (
         (swapped, ("nilpotent2x2_n2.json", "matrix3x3_n2.json", "kdv_n2.json", "kdv_symmetry_n2.json", "matrix_symmetry_n3.json")),
         (no_j1, ("kdv_n2.json", "kdv_symmetry_n2.json")),
     ):
-        wrong = lambda x0, pq: laxflow._taylor(x0, pq, step)
+        wrong = flow_with(kernel)
         for name in names:
             path = str(PROBLEMS / name)
             commands = ("lax-solve", "symmetry") if "symmetry" in name else ("lax-solve",)
@@ -511,6 +533,43 @@ def test_symmetry_decides_r3_from_the_tensor_form(monkeypatch, capsys):
         assert code == 0 and "symmetry3 residual: PASS (checked on 7 probes)" in out
 
 
+def test_symmetry_skips_r2_when_the_r3_tensor_vanishes(monkeypatch, capsys):
+    # a zero r3 tensor maps Lq to zero, so the symmetry2 line is exact
+    # without applying r3 to Lq; the report does not change
+    from qlax import cli
+
+    calls = []
+    real = cli.apply_series
+    monkeypatch.setattr(cli, "apply_series", lambda sq, xq: calls.append(sq) or real(sq, xq))
+    for name in ("matrix_symmetry_n3.json", "kdv_symmetry_n2.json"):
+        code, out, _ = run(capsys, "symmetry", str(PROBLEMS / name))
+        assert code == 0 and "symmetry2 residual: PASS (exact)\n" in out
+        assert calls == []
+
+
+def test_symmetry_with_a_broken_transport_fails_both_residuals(monkeypatch, capsys):
+    # S + q*1 adds the identity to r3 at q^1, which maps Lq(0) = L0 != 0 to
+    # r2 at q^1: not a zero tensor, so r3 goes to the probes and r2 is
+    # computed, and both fail
+    from qlax import BiOp, BiOpAlgebra, QSeries, cli
+
+    real = cli.transport
+
+    def broken(s0, pq, lq=None):
+        sq = real(s0, pq, lq)
+        return sq + QSeries.term(BiOpAlgebra(s0.alg), pq.trunc, BiOp.identity(s0.alg), 1)
+
+    calls = []
+    real_apply = cli.apply_series
+    monkeypatch.setattr(cli, "transport", broken)
+    monkeypatch.setattr(cli, "apply_series", lambda sq, xq: calls.append(sq) or real_apply(sq, xq))
+    for name in ("matrix_symmetry_n3.json", "kdv_symmetry_n2.json"):
+        code, out, _ = run(capsys, "symmetry", str(PROBLEMS / name))
+        assert code == 1, name
+        assert "symmetry3 residual: FAIL" in out and "symmetry2 residual: FAIL (exact)" in out, name
+    assert len(calls) == 2
+
+
 def test_symmetry_unit_probes_catch_what_the_problem_probes_miss(monkeypatch, capsys):
     # X -> tr(X) E_00 = (E_00, E_00) + (E_01, E_10) kills L0 and both P
     # coefficients of the shipped matrix problem (all traceless) and every
@@ -727,6 +786,23 @@ def test_rejects_float_entries(tmp_path, capsys):
     code, _, err = run(capsys, "lax-solve", str(path))
     assert code == 2
     assert "L0" in err
+
+
+def test_matrix_literal_rejections_name_the_field_and_the_text(tmp_path, capsys):
+    base = json.loads((PROBLEMS / "nilpotent2x2_n2.json").read_text())
+    cases = [
+        ([[0.5, "0"], ["0", "1"]], "cannot interpret float as an exact rational"),
+        ([[True, "0"], ["0", "1"]], "cannot interpret bool as an exact rational"),
+        ([["2.5", "0"], ["0", "1"]], "not an exact rational literal: '2.5'"),
+        ([["1/0", "0"], ["0", "1"]], "denominator must be positive: '1/0'"),
+        ([["1", "0"], ["0"]], "matrix must be square and nonempty"),
+    ]
+    for l0, message in cases:
+        for field, change in (("L0", {"L0": l0}), ("P", {"P": [[0, l0]]})):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({**base, **change}))
+            code, out, err = run(capsys, "lax-solve", str(path))
+            assert (code, out, err) == (2, "", f"error: field '{field}': {message}\n")
 
 
 def test_rejects_booleans_as_integers(tmp_path, capsys):

@@ -178,28 +178,27 @@ def test_lax_solve_matrix_product_count(monkeypatch):
     vanishes for m > d + 1, so one Taylor recurrence costs
     sum_{k=1..N} min(k, d+1) = (d+1)N - d(d+1)/2 = 27 steps: one product
     each for W = texp(Pq) and two (the bracket) for Lq = flow(L0), 81 in
-    all, where one ``bracket`` counts as its two products.  Conjugating L0 by
-    W with a unipotent inverse took 159.
+    all.  Every matrix product goes through ``RatMatrix.dot``, so the count
+    is over the pairs it receives, a bracket pair counting as its two
+    products.  Conjugating L0 by W with a unipotent inverse took 159.
     """
     n, d = 10, 2
     bound = 3 * ((d + 1) * n - d * (d + 1) // 2)
     calls = []
-    product, bracket = RatMatrix.__mul__, RatMatrix.bracket
+    dot = RatMatrix.dot
 
-    def counting(a, b):
-        calls.append(1)
-        return product(a, b)
-
-    def counting_bracket(a, b):
-        calls.extend((1, 1))
-        return bracket(a, b)
+    def counting(pairs, bracket=False, divisor=1):
+        calls.extend([1] * (len(pairs) * (2 if bracket else 1)))
+        return dot(pairs, bracket, divisor)
 
     prob = rand_problem(1, n=n, nn=3, deg=d)
-    monkeypatch.setattr(RatMatrix, "__mul__", counting)
-    monkeypatch.setattr(RatMatrix, "bracket", counting_bracket)
+    monkeypatch.setattr(RatMatrix, "dot", staticmethod(counting))
     sol = lax_solve(prob)
     sol.w
-    assert len(calls) <= bound == 81
+    assert 0 < len(calls) <= bound == 81
+    calls.clear()
+    prob.l0 * prob.l0, prob.l0.bracket(prob.l0)
+    assert len(calls) == 3  # the one-pair product and bracket are counted too
 
 
 def test_lax_solve_computes_w_only_when_read(monkeypatch):

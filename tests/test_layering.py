@@ -51,7 +51,8 @@ def test_t_coefficients_are_spelled_out_only_in_render():
 
 def test_descriptors_leave_arithmetic_to_elements():
     # a descriptor supplies zero, one and probes(); every element scales,
-    # tests itself for zero and renders itself
+    # tests itself for zero and renders itself, and every backend element
+    # sums products with dot
     def subclasses(cls):
         return [cls] + [s for sub in cls.__subclasses__() for s in subclasses(sub)]
 
@@ -62,6 +63,10 @@ def test_descriptors_leave_arithmetic_to_elements():
     for cls in (qlax.RatMatrix, qlax.PsdoSymbol, qlax.BiOp, qlax.QSeries, qlax.DiffPoly):
         for name in ("is_zero", "scale", "to_json", "max_abs"):
             assert name in vars(cls), (cls.__name__, name)
+    # every coefficient type carries its own multiply-accumulate kernel,
+    # which the series layer finds through the type of the algebra's zero
+    for cls in (qlax.RatMatrix, qlax.PsdoSymbol, qlax.BiOp):
+        assert isinstance(vars(cls).get("dot"), staticmethod), cls.__name__
 
 
 def test_expr_parser_elaborates_without_a_syntax_tree():

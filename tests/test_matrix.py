@@ -12,7 +12,6 @@ from qlax import (
     MatrixAlgebra,
     RatMatrix,
     ShapeMismatch,
-    Singular,
     TPoly,
     convergence_study,
     eval_tq,
@@ -22,24 +21,25 @@ from qlax import (
 )
 
 from conftest import matrices
+from reference import Singular, det, invert
 
 M2 = MatrixAlgebra(2)
 
 
 def test_invert_examples():
-    assert M2.one.invert() == M2.one
-    assert RatMatrix.of([[1, 1], [0, 1]]).invert() == RatMatrix.of([[1, -1], [0, 1]])
+    assert invert(M2.one) == M2.one
+    assert invert(RatMatrix.of([[1, 1], [0, 1]])) == RatMatrix.of([[1, -1], [0, 1]])
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices(n=3))
 def test_invert_property(m):
-    if m.det() == 0:
+    if det(m) == 0:
         with pytest.raises(Singular):
-            m.invert()
+            invert(m)
     else:
-        assert m * m.invert() == RatMatrix.identity(3)
-        assert m.invert() * m == RatMatrix.identity(3)
+        assert m * invert(m) == RatMatrix.identity(3)
+        assert invert(m) * m == RatMatrix.identity(3)
 
 
 # -- the integer-numerator kernel against a Fraction-entry reference ------------
@@ -128,6 +128,41 @@ def test_bracket_matches_products(rows):
     assert ab == a * b - b * a and hash(ab) == hash(a * b - b * a)
     assert ab.entries == ref_add(ref_mul(ra, rb), ref_neg(ref_mul(rb, ra)))
     assert b.bracket(a) == -ab and a.bracket(a).is_zero()
+
+
+def ref_dot(rows, bracket, divisor):
+    n = len(rows[0][0])
+    acc = tuple((Fraction(0),) * n for _ in range(n))
+    for ra, rb in rows:
+        term = ref_mul(ra, rb)
+        acc = ref_add(acc, ref_add(term, ref_neg(ref_mul(rb, ra))) if bracket else term)
+    return ref_scale(Fraction(1, divisor), acc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(fraction_rows(n), fraction_rows(n)), min_size=1, max_size=3)),
+    st.booleans(),
+    st.integers(1, 12),
+)
+def test_dot_matches_the_pairwise_sum(rows, bracket, divisor):
+    # mixed denominators across the pairs, a divisor folded into the result
+    pairs = [(RatMatrix.of(ra), RatMatrix.of(rb)) for ra, rb in rows]
+    got = RatMatrix.dot(pairs, bracket, divisor)
+    assert_canonical(got)
+    assert got.entries == ref_dot(rows, bracket, divisor)
+    assert got == RatMatrix.of(ref_dot(rows, bracket, divisor))
+    # each pair against its negative cancels to the canonical zero
+    cancelled = RatMatrix.dot(pairs + [(-a, b) for a, b in pairs], bracket, divisor)
+    assert cancelled == RatMatrix.zeros(len(rows[0][0])) and cancelled.den == 1
+
+
+def test_dot_rejects_mixed_sizes():
+    a, b = RatMatrix.identity(2), RatMatrix.identity(3)
+    for pairs in ([(a, b)], [(b, a)], [(a, a), (a, b)], [(a, a), (b, a)], [(a, a), (b, b)]):
+        for bracket in (False, True):
+            with pytest.raises(ShapeMismatch):
+                RatMatrix.dot(pairs, bracket)
 
 
 def test_kernel_examples():
@@ -219,7 +254,7 @@ def test_nilpotent_evaluation_preserves_trace_and_det():
     for t0, q0 in ((1, Fraction(1, 2)), (Fraction(2, 3), Fraction(1, 5))):
         m = eval_tq(sol.lq, t0, q0)
         assert m.trace() == Fraction(0)
-        assert m.det() == Fraction(-1)
+        assert det(m) == Fraction(-1)
 
 
 def test_trace_constant_modulo_truncation():

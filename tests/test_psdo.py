@@ -334,6 +334,28 @@ def test_bracket_matches_compose(ta, tb, fa, fb, work):
         assert bracket_or_error(lambda: commutator(x, y)) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(symbol_terms, floors, symbol_terms, floors), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(1, 12),
+)
+def test_dot_matches_the_pairwise_sum(rows, bracket, divisor):
+    """dot equals the sum of the compositions or brackets of its pairs,
+    scaled, floor included, and raises exactly when one of them does."""
+    pairs = [(PsdoSymbol.of(ta.items(), fa), PsdoSymbol.of(tb.items(), fb)) for ta, fa, tb, fb in rows]
+    step = (lambda x, y: x.bracket(y)) if bracket else compose
+
+    def reference():
+        return sum((step(x, y) for x, y in pairs), PsdoSymbol.zero()).scale(Fraction(1, divisor))
+
+    expected = bracket_or_error(reference)
+    assert bracket_or_error(lambda: PsdoSymbol.dot(pairs, bracket, divisor)) == expected
+    if expected is not PrecisionExhausted and all(x.floor is None and y.floor is None for x, y in pairs):
+        negated = pairs + [(-x, y) for x, y in pairs]
+        assert PsdoSymbol.dot(negated, bracket, divisor) == PsdoSymbol.zero()
+
+
 def test_bracket_raises_when_either_composition_does():
     # xi^-1 o u has infinitely many orders, u o xi^-1 has one
     inv = PsdoSymbol.xi(-1)

@@ -34,6 +34,8 @@ trees = st.recursive(
 )
 # one nonempty object per example, so its text depends on the depth it sits at
 shared = st.one_of(st.lists(texts, min_size=1, max_size=3), st.dictionaries(texts, trees, min_size=1, max_size=2))
+# nonempty rows of strings, which dumps writes in one step
+text_matrices = st.lists(st.lists(texts, min_size=1, max_size=3), min_size=1, max_size=3)
 
 
 def stdlib(x) -> str:
@@ -41,8 +43,8 @@ def stdlib(x) -> str:
 
 
 @settings(max_examples=200, deadline=None)
-@given(trees, shared)
-def test_dumps_matches_the_stdlib(tree, pad):
+@given(trees, shared, text_matrices)
+def test_dumps_matches_the_stdlib(tree, pad, matrix):
     assert render.dumps(tree) == stdlib(tree)
     doc = {
         "twice at one depth": [pad, pad],
@@ -52,6 +54,16 @@ def test_dumps_matches_the_stdlib(tree, pad):
     }
     assert render.dumps(doc) == stdlib(doc)
     assert render.dumps([pad, tree, pad]) == stdlib([pad, tree, pad])
+    # a matrix shared at several depths and next to its own rows, and
+    # matrices with an empty row, which take the general path
+    doc = {
+        "matrices": [matrix, matrix, [matrix, {"": matrix}], [[matrix]]],
+        "rows": [matrix[0], [matrix[-1], matrix[0]], matrix],
+        "empty row": [matrix + [[]], [[]] + matrix],
+        "pad": [pad, matrix, pad],
+    }
+    assert render.dumps(doc) == stdlib(doc)
+    assert render.dumps(matrix) == stdlib(matrix)
 
 
 def test_dumps_matches_the_stdlib_on_a_solve_report(tmp_path, monkeypatch, capsys):

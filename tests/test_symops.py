@@ -41,7 +41,7 @@ from qlax import (
 )
 
 from conftest import diffops, int_stream, matrices, rint, small_fractions
-from reference import symmetry2_residual
+from reference import det, invert, symmetry2_residual
 
 M2 = MatrixAlgebra(2)
 UNITS2 = M2.probes()
@@ -147,6 +147,23 @@ def test_biop_bracket_matches_products(seed, pairs_x, pairs_y):
         assert x.bracket(y).apply(probe) == x.apply(y.apply(probe)) - y.apply(x.apply(probe))
 
 
+biops = st.lists(st.tuples(matrices(n=2), matrices(n=2)), max_size=2).map(lambda t: BiOp.of(M2, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(biops, biops), min_size=1, max_size=3), st.booleans(), st.integers(1, 12))
+def test_biop_dot_matches_the_pairwise_sum(pairs, bracket, divisor):
+    # BiOp.of merges only structurally, so the sums agree as maps: on the
+    # spanning unit probes and as a tensor
+    step = (lambda x, y: x * y - y * x) if bracket else (lambda x, y: x * y)
+    expected = sum((step(x, y) for x, y in pairs), BiOp.zero(M2)).scale(Fraction(1, divisor))
+    got = BiOp.dot(pairs, bracket, divisor)
+    assert (got - expected).tensor_is_zero()
+    for probe in UNITS2:
+        assert got.apply(probe) == expected.apply(probe)
+    assert BiOp.dot(pairs + [(-x, y) for x, y in pairs], bracket, divisor).tensor_is_zero()
+
+
 def test_ad_is_a_derivation():
     stream = int_stream(47)
     for _ in range(10):
@@ -209,7 +226,7 @@ def test_transport_of_ad_l0_solves_symmetry_equation():
 
 def test_transport_conjugation_matches_conjugated_flow():
     g = RatMatrix.of([[1, 1], [0, 1]])
-    ginv = g.invert()
+    ginv = invert(g)
     s0 = BiOp.of(M2, [(g, ginv)])
     prob = rand_problem(6, n=3, nn=2)
     sol = lax_solve(prob)
@@ -316,10 +333,10 @@ def test_transport_of_inverse_is_inverse():
             pq = deform(prob.p, prob.n)
             stream = int_stream(600 * nn + n)
             a, b = (mat_random(nn, next(stream), 2) for _ in range(2))
-            while a.det() == 0 or b.det() == 0:
+            while det(a) == 0 or det(b) == 0:
                 a, b = (mat_random(nn, next(stream), 2) for _ in range(2))
             s0 = BiOp.of(alg, [(a, b)])
-            s0_inv = BiOp.of(alg, [(a.invert(), b.invert())])
+            s0_inv = BiOp.of(alg, [(invert(a), invert(b))])
             composed = transport(s0_inv, pq) * transport(s0, pq)
             for x in alg.probes():
                 assert apply_to_probe(composed, x) == QSeries.constant(alg, n, x)
