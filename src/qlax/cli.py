@@ -35,7 +35,6 @@ from .render import (
     first_nonzero,
     json_value,
     residual_report,
-    series_json,
     series_lines,
 )
 from .symops import (
@@ -131,8 +130,8 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
             "schema": "qlax/laxsolve-report/1",
             "backend": pf.backend,
             "N": prob.n,
-            "W": series_json(sol.w),
-            "Lq": series_json(sol.lq),
+            "W": sol.w,
+            "Lq": sol.lq,
             "residual": report,
         }
         _emit(dumps(doc))

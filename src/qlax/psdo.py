@@ -86,20 +86,6 @@ class PsdoSymbol:
 
     # -- structure ----------------------------------------------------
 
-    def coeff(self, k: int) -> DiffPoly:
-        if self.floor is not None and k < self.floor:
-            raise PrecisionExhausted(
-                f"coefficient of order {k} lies below the precision floor {self.floor}"
-            )
-        for order, dp in self.terms:
-            if order == k:
-                return dp
-        return DiffPoly.zero()
-
-    def order(self) -> int | float:
-        """Largest order with a nonzero coefficient; -inf for zero."""
-        return self.terms[0][0] if self.terms else -math.inf
-
     def is_zero(self) -> bool:
         return not self.terms and self.floor is None
 

@@ -6,7 +6,10 @@ only where a report explicitly formats them (the convergence study).
 This is the one place where powers of t appear.  A kernel series stores
 one coefficient c_k per q-order and its role fixes a weight w (0 for W and
 Lq, 1 for residuals; see ``laxflow``): the q^k coefficient stands for
-c_k * t^(k-w), and the reports spell it out as t-coefficients.
+c_k * t^(k-w), and the reports spell it out as t-coefficients, k-w zeros
+followed by c_k.  No pad list is built: ``dumps`` writes a weight-0 series
+straight to text with the zero's text repeated, and the residual readers
+work from the pairs (k, c_k).
 """
 
 from __future__ import annotations
@@ -25,41 +28,23 @@ def json_value(x: Any) -> Any:
     return x.to_json()
 
 
-def t_coeffs(series: QSeries, weight: int) -> List[list]:
-    """Per q-order, the t-coefficients of c_k * t^(k-weight): k - weight
-    zeros followed by c_k, or no entries when c_k is zero."""
-    zero = series.alg.zero
-    return [
-        [] if c.is_zero() else [zero] * (k - weight) + [c]
-        for k, c in enumerate(series.coeffs)
-    ]
-
-
-def series_json(series: QSeries) -> dict:
-    """The JSON form of a weight-0 series such as W or Lq.  Every zero pad
-    is one shared object, which ``dumps`` writes once."""
-    pad = json_value(series.alg.zero)
-    rows = [[pad if c.is_zero() else json_value(c) for c in row] for row in t_coeffs(series, 0)]
-    return {"trunc": series.trunc, "coeffs": [{"t_coeffs": row} for row in rows]}
-
-
 def series_lines(label: str, series: QSeries) -> List[str]:
     """One text line per q-order of a weight-0 series: "(c)*t^k" or 0."""
     lines = [f"{label}:"]
-    for k, row in enumerate(t_coeffs(series, 0)):
+    for k, c in enumerate(series.coeffs):
         tpow = "" if k == 0 else ("*t" if k == 1 else f"*t^{k}")
-        lines.append(f"  q^{k}: " + (f"({row[-1]}){tpow}" if row else "0"))
+        lines.append(f"  q^{k}: " + ("0" if c.is_zero() else f"({c}){tpow}"))
     return lines
 
 
 def residual_report(residual: QSeries) -> dict:
-    """Per q-order, per t-degree magnitudes of a residual series (weight 1)."""
+    """Per q-order, per t-degree magnitudes of a residual series (weight 1,
+    so no q^0 term): a nonzero c_k at t^(k-1) after k-1 zero norms."""
     orders = []
-    for k, row in enumerate(t_coeffs(residual, 1)):
-        norms = [c.max_abs() for c in row]
-        orders.append(
-            {"q_order": k, "max_norm": str(max(norms, default=0)), "t_norms": [str(x) for x in norms]}
-        )
+    for k, c in enumerate(residual.coeffs):
+        zero = c.is_zero()
+        norm = "0" if zero else str(c.max_abs())
+        orders.append({"q_order": k, "max_norm": norm, "t_norms": [] if zero else ["0"] * (k - 1) + [norm]})
     return {
         "schema": "qlax/residual/1",
         "zero": residual.is_zero(),
@@ -69,11 +54,11 @@ def residual_report(residual: QSeries) -> dict:
 
 
 def first_nonzero(residual: QSeries) -> Optional[Tuple[int, int]]:
-    """The first (q-order, t-degree) where a residual series (weight 1) is
-    nonzero, or None when it vanishes."""
-    for k, row in enumerate(t_coeffs(residual, 1)):
-        if row:
-            return k, len(row) - 1
+    """The first (q-order, t-degree) where a residual series (weight 1, so
+    no q^0 term) is nonzero, or None when it vanishes."""
+    for k, c in enumerate(residual.coeffs):
+        if not c.is_zero():
+            return k, k - 1
     return None
 
 
@@ -114,52 +99,59 @@ def dumps(obj: Any) -> str:
 
     Equal to ``json.dumps(obj, indent=2) + "\\n"`` on dicts with string
     keys, lists, strings and scalars, without the stdlib's pure-Python
-    indent encoder.  A list or dict met again at the same depth (the zero
-    pads of ``series_json``) is written once and its pieces copied; object
-    ids are unique keys while the whole tree is alive in this call.
+    indent encoder.  A ``QSeries`` is written as the weight-0 report form
+    ``{"trunc", "coeffs": [{"t_coeffs": [...]}]}``, in which the q^k
+    coefficient c_k is k zero pads followed by c_k.
     """
-    out: List[str] = []
-    memo: dict = {}
+    return _encode(obj, 0) + "\n"
 
-    def write(x: Any, depth: int) -> None:
-        if isinstance(x, str):
-            out.append(_quote(x))
-        elif not isinstance(x, (list, dict)):
-            out.append(json.dumps(x))
-        elif not x:
-            out.append("{}" if isinstance(x, dict) else "[]")
-        elif (id(x), depth) in memo:
-            start, stop = memo[id(x), depth]
-            out.extend(out[start:stop])
-        else:
-            start = len(out)
-            inner = "\n" + "  " * (depth + 1)
-            sep = "," + inner
-            end = "\n" + "  " * depth
-            if isinstance(x, dict):
-                lead = "{" + inner
-                for k, v in x.items():
-                    out.append(lead + _quote(k) + ": ")
-                    lead = sep
-                    write(v, depth + 1)
-                out.append(end + "}")
-            elif all(isinstance(v, str) for v in x):  # a matrix row: one join
-                out.append("[" + inner + sep.join(map(_quote, x)) + end + "]")
-            elif all(isinstance(v, list) and v and all(isinstance(s, str) for s in v) for v in x):
-                # a matrix: one nested join
-                row_inner = inner + "  "
-                row_sep = "," + row_inner
-                rows = ("[" + row_inner + row_sep.join(map(_quote, v)) + inner + "]" for v in x)
-                out.append("[" + inner + sep.join(rows) + end + "]")
-            else:
-                lead = "[" + inner
-                for v in x:
-                    out.append(lead)
-                    lead = sep
-                    write(v, depth + 1)
-                out.append(end + "]")
-            memo[id(x), depth] = start, len(out)
 
-    write(obj, 0)
-    out.append("\n")
-    return "".join(out)
+def _encode(x: Any, depth: int) -> str:
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, (list, dict)):
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        inner = "\n" + "  " * (depth + 1)
+        sep = "," + inner
+        end = "\n" + "  " * depth
+        if isinstance(x, dict):
+            items = (_quote(k) + ": " + _encode(v, depth + 1) for k, v in x.items())
+            return "{" + inner + sep.join(items) + end + "}"
+        if all(isinstance(v, str) for v in x):  # a matrix row: one join
+            return "[" + inner + sep.join(map(_quote, x)) + end + "]"
+        if all(isinstance(v, list) and v and all(isinstance(s, str) for s in v) for v in x):
+            # a matrix: one nested join
+            row_inner = inner + "  "
+            row_sep = "," + row_inner
+            rows = ("[" + row_inner + row_sep.join(map(_quote, v)) + inner + "]" for v in x)
+            return "[" + inner + sep.join(rows) + end + "]"
+        return "[" + inner + sep.join(_encode(v, depth + 1) for v in x) + end + "]"
+    if isinstance(x, QSeries):
+        return _series(x, depth)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    return json.dumps(x)
+
+
+def _series(series: QSeries, depth: int) -> str:
+    """A weight-0 series at ``depth``.  The pad and each nonzero coefficient
+    are encoded once, at the depth where they sit, and row k repeats the
+    pad text k times."""
+    nl = ["\n" + "  " * (depth + i) for i in range(5)]
+    pad = _encode(json_value(series.alg.zero), depth + 4) + "," + nl[4]
+    head = "{" + nl[3] + '"t_coeffs": [' + nl[4]
+    tail = nl[3] + "]" + nl[2] + "}"
+    empty = "{" + nl[3] + '"t_coeffs": []' + nl[2] + "}"
+    rows = (
+        empty if c.is_zero() else head + pad * k + _encode(json_value(c), depth + 4) + tail
+        for k, c in enumerate(series.coeffs)
+    )
+    return (
+        "{" + nl[1] + f'"trunc": {series.trunc},' + nl[1] + '"coeffs": [' + nl[2]
+        + ("," + nl[2]).join(rows) + nl[1] + "]" + nl[0] + "}"
+    )

@@ -145,10 +145,6 @@ class BiOp:
             return BiOp(self.alg, ())
         return BiOp(self.alg, tuple((l.scale(c), r) for l, r in self.terms))
 
-    def extensionally_equal(self, other: "BiOp", probes: Sequence[Any]) -> bool:
-        """Equality of the denoted maps on a probe set."""
-        return all(self.apply(x) == other.apply(x) for x in probes)
-
     def to_json(self) -> list:
         return [{"left": l.to_json(), "right": r.to_json()} for l, r in self.terms]
 

@@ -1,13 +1,57 @@
-"""Reference maps, and exact matrix determinant and inverse, that only the
-tests use.
+"""Reference maps, exact matrix determinant and inverse, symbol accessors
+and the tree form of a series report, that only the tests use.
 
-Each one restates a definition from the paper on top of the library's
-public operations, so a test can compare a command's shortcut with it.
+Each one restates a definition from the paper, or a report format, on top
+of the library's public operations, so a test can compare a command's
+shortcut with it.
 """
 
+import math
 from fractions import Fraction
+from typing import Any, Sequence
 
-from qlax import QlaxError, QSeries, RatMatrix, apply_series, symmetry3_residual
+from qlax import (
+    BiOp,
+    DiffPoly,
+    PrecisionExhausted,
+    PsdoSymbol,
+    QlaxError,
+    QSeries,
+    RatMatrix,
+    apply_series,
+    symmetry3_residual,
+)
+
+
+def series_json(series: QSeries) -> dict:
+    """The JSON tree of a weight-0 series such as W or Lq: per q-order, the
+    t-coefficients of c_k * t^k, which are k zeros followed by c_k, or no
+    entries when c_k is zero."""
+    pad = series.alg.zero.to_json()
+    return {
+        "trunc": series.trunc,
+        "coeffs": [
+            {"t_coeffs": [] if c.is_zero() else [pad] * k + [c.to_json()]}
+            for k, c in enumerate(series.coeffs)
+        ],
+    }
+
+
+def extensionally_equal(x: BiOp, y: BiOp, probes: Sequence[Any]) -> bool:
+    """Equality of the denoted maps on a probe set."""
+    return all(x.apply(p) == y.apply(p) for p in probes)
+
+
+def coeff(symbol: PsdoSymbol, k: int) -> DiffPoly:
+    """The coefficient of xi^k; raises PrecisionExhausted below the floor."""
+    if symbol.floor is not None and k < symbol.floor:
+        raise PrecisionExhausted(f"coefficient of order {k} lies below the precision floor {symbol.floor}")
+    return dict(symbol.terms).get(k, DiffPoly.zero())
+
+
+def order(symbol: PsdoSymbol) -> int | float:
+    """Largest order with a nonzero coefficient; -inf for zero."""
+    return symbol.terms[0][0] if symbol.terms else -math.inf
 
 
 def symmetry2_residual(sq: QSeries, pq: QSeries, lq: QSeries) -> QSeries:

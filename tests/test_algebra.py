@@ -161,7 +161,8 @@ def test_eval_multiplicative_noncommutative(ca, cb, t0):
 
 def test_element_protocol_nests():
     from qlax import BiOp, BiOpAlgebra, DiffPoly, PsdoSymbol
-    from qlax.render import json_value, series_json
+    from qlax.render import json_value
+    from reference import series_json
 
     a = RatMatrix.of([[1, "-7/2"], [0, 3]])
     dp = DiffPoly.u(1).scale(Fraction(-5))

@@ -4,13 +4,21 @@ Each run is pinned by the sha256 of its exit code, stdout and stderr, so a
 change to any output byte of any command fails here.  After an intended
 output change, re-pin with ``python tests/test_golden.py``, which prints
 the new table.
+
+The shipped problems stop at N = 3, so their reports pad each q^k
+coefficient with at most three zeros; the deep cases (a 4x4 matrix flow at
+N = 10 and KdV at N = 6) pin reports with up to ten and six.
 """
 
 import hashlib
 import io
+import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
+from qlax import mat_random
 from qlax.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +47,26 @@ def run_all() -> dict:
         for argv in cases()
         for fmt in ("text", "json")
     }
+
+
+DEEP_PROBLEMS = {
+    "matrix4x4_n10.json": {
+        "backend": "matrix",
+        "L0": mat_random(4, 7, 3).scale(Fraction(2, 3)).to_json(),
+        "P": [[0, mat_random(4, 11, 2).to_json()], [1, mat_random(4, 13, 2).to_json()]],
+        "N": 10,
+    },
+    "kdv_n6.json": {"backend": "psdo", "L0": "-d^2 + u", "P": [[0, "-4*d^3 + 3*(d*u + u*d)"]], "N": 6},
+}
+
+
+def run_deep(directory: Path) -> dict:
+    digests = {}
+    for name, doc in DEEP_PROBLEMS.items():
+        (directory / name).write_text(json.dumps(doc))
+        for fmt in ("text", "json"):
+            digests[f"lax-solve {name} --format {fmt}"] = digest(("lax-solve", str(directory / name), "--format", fmt))
+    return digests
 
 
 GOLDEN = {
@@ -89,10 +117,23 @@ GOLDEN = {
 }
 
 
+DEEP = {
+    'lax-solve matrix4x4_n10.json --format text': '26f75eb5f9df27c41af5da35256cb10233314e79d6d2b019b841032b5a7e4c89',
+    'lax-solve matrix4x4_n10.json --format json': '96513da35484f69955f4bb1d08e3252f9b40cd99d90aed6a66f2a2282e599460',
+    'lax-solve kdv_n6.json --format text': 'c1ff09ddf29e63d6195d53d79815538f2f268ad6cea8b9da3443ff0adbead695',
+    'lax-solve kdv_n6.json --format json': 'cc19ec958024cfeabf117514e176925dde7cfe52799d80ad4910f26fd9a9af5e',
+}
+
+
 def test_cli_outputs_are_byte_identical(monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("QLAX_FORMAT", raising=False)
     assert run_all() == GOLDEN
+
+
+def test_deep_reports_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.delenv("QLAX_FORMAT", raising=False)
+    assert run_deep(tmp_path) == DEEP
 
 
 if __name__ == "__main__":
@@ -101,3 +142,7 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     for key, value in run_all().items():
         print(f"    {key!r}: {value!r},")
+    print()
+    with tempfile.TemporaryDirectory() as directory:
+        for key, value in run_deep(Path(directory)).items():
+            print(f"    {key!r}: {value!r},")

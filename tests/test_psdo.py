@@ -24,6 +24,7 @@ from qlax import (
 )
 
 from conftest import diffops, diffpolys, rand_diffop, int_stream, rint, small_fractions
+from reference import coeff, order
 
 U = DiffPoly.u(0)
 U1 = DiffPoly.u(1)
@@ -111,11 +112,11 @@ def test_compose_associative(a, b, c):
 @given(diffops(), diffops())
 def test_order_subadditive(a, b):
     prod = compose(a, b)
-    assert prod.order() <= a.order() + b.order()
+    assert order(prod) <= order(a) + order(b)
     if a.terms and b.terms:
         # leading coefficients live in an integral domain, so the top
         # order is always realized
-        assert prod.order() == a.order() + b.order()
+        assert order(prod) == order(a) + order(b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,7 +124,7 @@ def test_order_subadditive(a, b):
 def test_commutator_drops_order(a, b):
     if not a.terms or not b.terms:
         return
-    assert commutator(a, b).order() <= a.order() + b.order() - 1
+    assert order(commutator(a, b)) <= order(a) + order(b) - 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -148,10 +149,10 @@ def test_commutator_examples():
 
 def test_kdv_pair_shapes():
     l_op, p_op = kdv_pair()
-    assert l_op.order() == 2
-    assert l_op.coeff(2) == DiffPoly.const(-1)
-    assert l_op.coeff(0) == U
-    assert p_op.order() == 3
+    assert order(l_op) == 2
+    assert coeff(l_op, 2) == DiffPoly.const(-1)
+    assert coeff(l_op, 0) == U
+    assert order(p_op) == 3
 
 
 def test_kdv_p_matches_unexpanded_form():
@@ -174,9 +175,9 @@ def test_kdv_flow_identity():
 # -- order bookkeeping ---------------------------------------------------------
 
 def test_order_examples():
-    assert PsdoSymbol.zero().order() == -math.inf
-    assert kdv_pair().L.order() == 2
-    assert PsdoSymbol.from_dp(U).order() == 0
+    assert order(PsdoSymbol.zero()) == -math.inf
+    assert order(kdv_pair().L) == 2
+    assert order(PsdoSymbol.from_dp(U)) == 0
 
 
 # -- precision floors -----------------------------------------------------------
@@ -199,11 +200,11 @@ def test_truncated_expansion_values():
     # 1/d o u expands as u/d - u_1/d^2 + u_2/d^3 - ...
     got = compose(PsdoSymbol.xi(-1), PsdoSymbol.from_dp(U), floor=-3)
     assert got.floor == -3
-    assert got.coeff(-1) == U
-    assert got.coeff(-2) == -U1
-    assert got.coeff(-3) == U2
+    assert coeff(got, -1) == U
+    assert coeff(got, -2) == -U1
+    assert coeff(got, -3) == U2
     with pytest.raises(PrecisionExhausted):
-        got.coeff(-4)
+        coeff(got, -4)
 
 
 def test_floor_propagates_through_compose():
@@ -255,7 +256,7 @@ def test_floors_never_store_wrong_coefficients():
         got = compose(a_cut, b_cut)
         assert got.floor == max(fa + b.terms[0][0], a.terms[0][0] + fb)
         for k, dp in got.terms:
-            assert dp == exact.coeff(k)
+            assert dp == coeff(exact, k)
 
 
 symbol_terms = st.dictionaries(st.integers(-3, 2), diffpolys(max_terms=2), max_size=3)
@@ -268,8 +269,8 @@ def test_compose_matches_symbol_rule_reference(ta, tb, fa, fb, work):
     """Pseudo-differential inputs, negative orders and floors included."""
     a, b = PsdoSymbol.of(ta.items(), fa), PsdoSymbol.of(tb.items(), fb)
     got = compose(a, b, floor=work)
-    known = [fa + b.order()] if fa is not None and b.terms else []
-    known += [a.order() + fb] if fb is not None and a.terms else []
+    known = [fa + order(b)] if fa is not None and b.terms else []
+    known += [order(a) + fb] if fb is not None and a.terms else []
     infinite = any(k < 0 for k, _ in a.terms) and not all(dp.is_constant() for _, dp in b.terms)
     assert got.floor == (max(known + [work]) if known else work if infinite else None)
     lowest = -10 if got.floor is None else got.floor  # an exact result has no order below -6

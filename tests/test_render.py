@@ -6,8 +6,22 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlax import LaxProblem, MatrixAlgebra, QSeries, TPoly, lax_residual, lax_solve, mat_random
+from qlax import (
+    LaxProblem,
+    MatrixAlgebra,
+    PsdoAlgebra,
+    PsdoSymbol,
+    QSeries,
+    RatMatrix,
+    TPoly,
+    lax_residual,
+    lax_solve,
+    mat_random,
+)
 from qlax import cli, render
+
+from conftest import diffops
+from reference import series_json
 
 texts = st.text(
     st.one_of(
@@ -66,9 +80,43 @@ def test_dumps_matches_the_stdlib(tree, pad, matrix):
     assert render.dumps(matrix) == stdlib(matrix)
 
 
-def test_dumps_matches_the_stdlib_on_a_solve_report(tmp_path, monkeypatch, capsys):
-    # a 4x4 solve at N = 10 pads every q^k coefficient with k shared zeros
-    alg = MatrixAlgebra(4)
+# series as lax-solve reports them: zero coefficients at random q-orders
+# and up to twelve zero pads per row
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def matrix_series(draw):
+    alg = MatrixAlgebra(draw(st.integers(1, 4)))
+    entry = st.lists(st.lists(fractions, min_size=alg.n, max_size=alg.n), min_size=alg.n, max_size=alg.n)
+    coeffs = draw(st.lists(st.none() | entry, min_size=1, max_size=13))
+    return QSeries.of(alg, [alg.zero if c is None else RatMatrix.of(c) for c in coeffs])
+
+
+symbols = st.builds(lambda s, floor: PsdoSymbol.of(s.terms, floor), diffops(), st.none() | st.integers(-5, 0))
+psdo_series = st.lists(st.none() | symbols, min_size=1, max_size=13).map(
+    lambda cs: QSeries.of(PsdoAlgebra(), [PsdoSymbol.zero() if c is None else c for c in cs])
+)
+
+
+def nest(x, shape):
+    for kind in reversed(shape):
+        x = [x] if kind == "list" else {"s": x}
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_series() | psdo_series, st.lists(st.sampled_from(["list", "dict"]), max_size=3))
+def test_dumps_writes_a_series_as_its_reference_tree(series, shape):
+    tree = series_json(series)
+    assert render.dumps(nest(series, shape)) == stdlib(nest(tree, shape))
+    doc = {"first": nest(series, shape), "again": [series, "after", 0]}
+    assert render.dumps(doc) == stdlib({"first": nest(tree, shape), "again": [tree, "after", 0]})
+
+
+def solve_problem(tmp_path):
+    """A 4x4 problem at N = 10: every q^k coefficient of W and Lq is
+    nonzero, so the report pads it with k zeros."""
     path = tmp_path / "m4.json"
     path.write_text(json.dumps({
         "backend": "matrix",
@@ -76,14 +124,34 @@ def test_dumps_matches_the_stdlib_on_a_solve_report(tmp_path, monkeypatch, capsy
         "P": [[0, mat_random(4, 11, 2).to_json()], [1, mat_random(4, 13, 2).to_json()]],
         "N": 10,
     }))
+    return str(path)
+
+
+def test_dumps_matches_the_stdlib_on_a_solve_report(tmp_path, monkeypatch, capsys):
     docs = []
     monkeypatch.setattr(cli, "dumps", lambda obj: docs.append(obj) or render.dumps(obj))
-    assert cli.main(["lax-solve", str(path), "--format", "json"]) == 0
+    assert cli.main(["lax-solve", solve_problem(tmp_path), "--format", "json"]) == 0
     out = capsys.readouterr().out
     (doc,) = docs
-    pads = doc["W"]["coeffs"][10]["t_coeffs"][:10]
-    assert len({id(x) for x in pads}) == 1 and pads[0] == alg.zero.to_json()
-    assert out == stdlib(doc)
+    reference = {key: series_json(v) if isinstance(v, QSeries) else v for key, v in doc.items()}
+    assert reference["W"]["coeffs"][10]["t_coeffs"][:10] == [MatrixAlgebra(4).zero.to_json()] * 10
+    assert out == stdlib(reference)
+
+
+def test_solve_report_encodes_each_coefficient_once(tmp_path, monkeypatch, capsys):
+    docs, encoded = [], []
+    json_value = render.json_value
+    monkeypatch.setattr(cli, "dumps", lambda obj: docs.append(obj) or render.dumps(obj))
+    monkeypatch.setattr(render, "json_value", lambda x: encoded.append(x) or json_value(x))
+    assert cli.main(["lax-solve", solve_problem(tmp_path), "--format", "json"]) == 0
+    capsys.readouterr()
+    (doc,) = docs
+    # the pad once per series, then each nonzero coefficient in q-order
+    expected = []
+    for series in (doc["W"], doc["Lq"]):
+        expected += [series.alg.zero] + [c for c in series.coeffs if not c.is_zero()]
+    assert len(encoded) == 2 + 11 + 11
+    assert encoded == expected
 
 
 def test_first_nonzero_names_a_perturbed_coefficient():
