@@ -6,22 +6,25 @@ stored in lowest terms with a positive denominator, so nothing ever rounds.
 An :class:`Algebra` value describes a unital associative algebra over the
 rationals.  It only has to supply ``zero``, ``one`` and ``probes()``.  The
 element values themselves implement ``+``, ``-``, ``*`` (possibly
-noncommutative), ``bracket(y)`` = x*y - y*x, ``scale(c)`` by an exact
-rational, ``is_zero()``, structural ``==`` on canonical forms,
-``to_json()`` and ``max_abs()``.  The element type also has one static
-multiply-accumulate kernel, ``dot(pairs, bracket=False, divisor=1)``: over
-a nonempty sequence of (a, b) pairs it returns (sum of a*b) / divisor, or
-(sum of [a, b]) / divisor when ``bracket`` is set, for a positive integer
-divisor, reducing once at the end.  Every series product, bracket and
-Taylor step is one ``dot`` call per q-order, found through
-``type(alg.zero)``.  A backend value also gives its coordinates,
-``coords()``: a dict from basis key to nonzero integer numerator over one
-positive denominator ``den``, or None when some coordinate is unknown (a
-symbol below its precision floor); the exact zero test of a ``BiOp``
-reads them.  The generic container ``BiOp`` works over any such algebra
-and its values are elements in the same sense, so a q-series of BiOps
-over matrices is one more instance of the same contract; a ``QSeries``
-has the same ring operations but is never itself a coefficient.
+noncommutative), ``scale(c)`` by an exact rational, ``is_zero()`` and
+structural ``==`` on canonical forms.  A backend value (a matrix or a
+symbol, and a symbol's coefficient) renders itself with ``to_json()`` and
+``max_abs()``; a matrix or symbol also has ``bracket(y)`` = x*y - y*x and
+its coordinates ``coords()``: a dict from basis key to nonzero integer
+numerator over one positive denominator ``den``, or None when some
+coordinate is unknown (a symbol below its precision floor), which the
+exact zero test of a ``BiOp`` reads.  A coefficient type also has one
+static multiply-accumulate kernel, ``dot(pairs, bracket=False,
+divisor=1)``: over a nonempty sequence of (a, b) pairs it returns (sum of
+a*b) / divisor, or (sum of [a, b]) / divisor when ``bracket`` is set, for
+a positive integer divisor, reducing once at the end.  Every series
+product, bracket, Taylor step and ``BiOp`` action is one ``dot`` call per
+q-order, found through ``type(alg.zero)``, over the pairs that
+``convolution`` lists.  The generic container ``BiOp`` works over any such
+algebra and its values are elements in the same sense, so a q-series of
+BiOps over matrices is one more instance of the same contract; a
+``QSeries`` has the same ring operations but is never itself a
+coefficient.
 
 A path P(t) is given as a :class:`TPoly`, an exact polynomial in t.  Once
 deformed it becomes a q-series whose q^k coefficient carries a single,
@@ -162,14 +165,24 @@ class TPoly:
         comes from self, so noncommutative coefficients keep their order."""
         if not self.coeffs or not other.coeffs:
             return TPoly(self.alg, ())
-        out: list = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, dj in enumerate(other.coeffs):
-                if dj.is_zero():
-                    continue
-                prod = ci * dj
-                out[i + j] = prod if out[i + j] is None else out[i + j] + prod
         zero = self.alg.zero
-        return TPoly(self.alg, tuple(zero if c is None else c for c in out))
+        left, right = nonzero(self.coeffs), holes(other.coeffs) + [None] * self.degree
+        sums = (convolution(left, right, k) for k in range(len(right)))
+        return TPoly(self.alg, tuple(type(zero).dot(pairs) if pairs else zero for pairs in sums))
+
+
+def nonzero(coeffs: Iterable[Any]) -> list:
+    """The (index, coefficient) pairs of the nonzero coefficients."""
+    return [(i, c) for i, c in enumerate(coeffs) if not c.is_zero()]
+
+
+def holes(coeffs: Iterable[Any]) -> list:
+    """The coefficients, with None in place of each zero."""
+    return [None if c.is_zero() else c for c in coeffs]
+
+
+def convolution(left: list, right: list, k: int) -> list:
+    """The order-k pairs (a_i, b_(k-i)) of a Cauchy product with both
+    factors nonzero, from ``nonzero`` of the left factor and ``holes`` of
+    the right; a recurrence passes the prefix it has built as ``right``."""
+    return [(a, right[k - i]) for i, a in left if i <= k and right[k - i] is not None]

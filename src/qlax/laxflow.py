@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, List
 
-from .algebra import Algebra, TPoly, rational
+from .algebra import Algebra, TPoly, convolution, holes, nonzero, rational
 from .errors import ValuationError
 from .qseries import QSeries
 
@@ -135,13 +135,11 @@ def _taylor(x0: Any, pq: QSeries, bracket: bool) -> QSeries:
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
     zero = pq.alg.zero
-    dot = type(zero).dot
-    path = [(m, p) for m, p in enumerate(pq.coeffs) if not p.is_zero()]
-    x = [x0]
+    path, x = nonzero(pq.coeffs), holes([x0])
     for k in range(1, pq.trunc + 1):
-        pairs = [(p, x[k - m]) for m, p in path if m <= k and not x[k - m].is_zero()]
-        x.append(dot(pairs, bracket, k) if pairs else zero)
-    return QSeries(pq.alg, tuple(x))
+        pairs = convolution(path, x, k)
+        x += holes([type(zero).dot(pairs, bracket, k)]) if pairs else [None]
+    return QSeries(pq.alg, tuple(zero if c is None else c for c in x))
 
 
 def texp(pq: QSeries) -> QSeries:

@@ -13,9 +13,14 @@ weight w of the series (0 for W and Lq, 1 for Pq and the residuals; see
 ``laxflow``).  Nothing here depends on w: products add weights, and the
 Cauchy product below is the same for every weight; ``bracket`` is that
 product with each c_i*d_j replaced by the coefficient bracket [c_i, d_j].
-Each output order is one call of the coefficient type's kernel ``dot``
-(see ``algebra``) over the nonzero pairs (c_i, d_{k-i}), so a coefficient
-is reduced once, not once per product and per sum.
+The q-order index arithmetic lives in ``algebra.convolution``: from the
+nonzero (i, c_i) of the left factor and the right coefficients with a
+hole for each zero, it lists the pairs (c_i, d_{k-i}) of q^k with both
+factors nonzero.  Each output order is one call of the coefficient type's
+kernel ``dot`` (see ``algebra``) over those pairs, so a coefficient is
+reduced once, not once per product and per sum.  The recurrences (the
+unipotent inverse here, the Taylor steps in ``laxflow``) pass the prefix
+they have built as the right factor.
 
 The grading is what makes the group theory finite: a product of series with
 valuations n and m has valuation at least n + m, so for any s with
@@ -28,10 +33,10 @@ exp and log are mutually inverse bijections between {val >= 1} and
 {c_0 = 1} at every truncation order.  The inverse of a unipotent s
 (c_0 = 1) is read off s * v = 1 order by order,
 
-    v_0 = 1,   v_k = -sum_{j=1..k} c_j * v_{k-j},
+    v_0 = 1,   v_k = sum_{j=1..k} (-c_j) * v_{k-j},
 
-which takes N(N+1)/2 coefficient products; it is a two-sided inverse,
-since a right inverse of a unit is its inverse.
+one ``dot`` per order with the tail negated once; it is a two-sided
+inverse, since a right inverse of a unit is its inverse.
 
 Coefficients must form a Q-algebra (every backend here does): the i! and
 1/i denominators are exact rationals.
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
 
-from .algebra import Algebra, rational
+from .algebra import Algebra, convolution, holes, nonzero, rational
 from .errors import TruncationMismatch, ValuationError
 
 
@@ -148,17 +153,11 @@ class QSeries:
         return self._cauchy(other, True)
 
     def _cauchy(self, other: "QSeries", bracket: bool) -> "QSeries":
-        # One kernel call per output order over its nonzero (c_i, d_j) pairs.
         self._check(other)
         zero = self.alg.zero
-        dot = type(zero).dot
-        left = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        right = [None if d.is_zero() else d for d in other.coeffs]
-        out = []
-        for k in range(self.trunc + 1):
-            pairs = [(c, right[k - i]) for i, c in left if i <= k and right[k - i] is not None]
-            out.append(dot(pairs, bracket) if pairs else zero)
-        return QSeries(self.alg, tuple(out))
+        left, right = nonzero(self.coeffs), holes(other.coeffs)
+        sums = (convolution(left, right, k) for k in range(self.trunc + 1))
+        return QSeries(self.alg, tuple(type(zero).dot(pairs, bracket) if pairs else zero for pairs in sums))
 
     def scale(self, c: Fraction) -> "QSeries":
         c = rational(c)
@@ -167,30 +166,20 @@ class QSeries:
     # -- the group operations ------------------------------------------
 
     def _accumulate_powers(self, base: "QSeries", weight: Callable[[int], Fraction]) -> "QSeries":
-        # sum_i weight(i) * base**i for i = 1..N on top of self's coefficients,
-        # exploiting that base**i contributes nothing below q^i.
-        out = list(self.coeffs)
+        # self + sum_i weight(i) * base**i for i = 1..N.
+        out = self
         power = QSeries.one(self.alg, self.trunc)
         for i in range(1, self.trunc + 1):
             power = power * base
-            w = weight(i)
-            for k in range(i, self.trunc + 1):
-                c = power.coeffs[k]
-                if c.is_zero():
-                    continue
-                c = c.scale(w) if w != 1 else c
-                out[k] = c if out[k].is_zero() else out[k] + c
-        return QSeries(self.alg, tuple(out))
+            out = out + power.scale(weight(i))
+        return out
 
     def exp(self) -> "QSeries":
         """Truncated exponential; requires valuation >= 1."""
         if not self.coeffs[0].is_zero():
             raise ValuationError("exp needs q-valuation >= 1 (zero q^0 coefficient)")
-        fact = [1]
-        for i in range(1, self.trunc + 1):
-            fact.append(fact[-1] * i)
         one = QSeries.one(self.alg, self.trunc)
-        return one._accumulate_powers(self, lambda i: Fraction(1, fact[i]))
+        return one._accumulate_powers(self, lambda i: Fraction(1, math.factorial(i)))
 
     def log(self) -> "QSeries":
         """Truncated logarithm; requires c_0 = 1."""
@@ -202,33 +191,12 @@ class QSeries:
 
     def invert_unipotent(self) -> "QSeries":
         """Inverse of 1 + (valuation >= 1) by the recurrence
-        v_k = -sum_{j=1..k} c_j * v_{k-j}."""
-        alg = self.alg
-        if self.coeffs[0] != alg.one:
+        v_k = sum_{j=1..k} (-c_j) * v_{k-j}."""
+        zero = self.alg.zero
+        if self.coeffs[0] != self.alg.one:
             raise ValuationError("unipotent inversion needs q^0 coefficient equal to 1")
-        c = self.coeffs
-        v = [alg.one]
+        tail, v = [(j, -c) for j, c in nonzero(self.coeffs) if j], [self.alg.one]
         for k in range(1, self.trunc + 1):
-            acc = None
-            for j in range(1, k + 1):
-                if c[j].is_zero() or v[k - j].is_zero():
-                    continue
-                prod = c[j] * v[k - j]
-                acc = prod if acc is None else acc + prod
-            v.append(alg.zero if acc is None else -acc)
-        return QSeries(alg, tuple(v))
-
-    def to_json(self) -> dict:
-        return {"trunc": self.trunc, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    def max_abs(self) -> Fraction:
-        return max((c.max_abs() for c in self.coeffs), default=Fraction(0))
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            qpow = "" if k == 0 else ("*q" if k == 1 else f"*q^{k}")
-            parts.append(f"({c}){qpow}")
-        return " + ".join(parts) if parts else "0"
+            pairs = convolution(tail, v, k)
+            v += holes([type(zero).dot(pairs)]) if pairs else [None]
+        return QSeries(self.alg, tuple(zero if c is None else c for c in v))

@@ -4,7 +4,10 @@ A :class:`BiOp` over an algebra A is a finite sum of (left, right) pairs
 denoting the linear map X -> sum_i left_i * X * right_i.  Composition is
 (a, b) o (c, d) = (a*c, d*b) extended bilinearly, the identity is the
 single pair (1, 1), and ad(p) = (p, 1) + (-1, p) is the inner derivation
-X -> pX - Xp.
+X -> pX - Xp.  The action is one call of the coefficient type's kernel
+``dot`` over the pairs (l_i*X, r_i), per element in ``BiOp.apply`` and per
+q-order in ``apply_series``; it keeps the association (l_i*X)*r_i, and so
+the precision floor of a symbol.
 
 A BiOp sum_i (l_i, r_i) is the tensor sum_i l_i (x) r_i in A (x) A^op, and
 that tensor has a canonical form: expand each side in its backend's basis
@@ -49,7 +52,7 @@ from functools import cached_property
 from math import lcm
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from .algebra import Algebra, algebra_of, rational
+from .algebra import Algebra, algebra_of, convolution, holes, nonzero, rational
 from .laxflow import LaxProblem, LaxSolution, flow, lax_residual, texp
 from .qseries import QSeries
 
@@ -79,11 +82,11 @@ class BiOp:
     # -- the action -----------------------------------------------------
 
     def apply(self, x: Any) -> Any:
-        """The linear map this operator denotes, evaluated at x."""
-        acc = self.alg.zero
-        for left, right in self.terms:
-            acc = acc + left * x * right
-        return acc
+        """The linear map this operator denotes, evaluated at x: one ``dot``
+        over the pairs (left*x, right)."""
+        zero = self.alg.zero
+        pairs = [(left * x, right) for left, right in self.terms]
+        return type(zero).dot(pairs) if pairs else zero
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -136,25 +139,11 @@ class BiOp:
         out = BiOp.of(pairs[0][0].alg, composed)
         return out if divisor == 1 else out.scale(Fraction(1, divisor))
 
-    def bracket(self, other: "BiOp") -> "BiOp":
-        return self * other - other * self
-
     def scale(self, c: Fraction) -> "BiOp":
         c = rational(c)
         if c == 0:
             return BiOp(self.alg, ())
         return BiOp(self.alg, tuple((l.scale(c), r) for l, r in self.terms))
-
-    def to_json(self) -> list:
-        return [{"left": l.to_json(), "right": r.to_json()} for l, r in self.terms]
-
-    def max_abs(self) -> Fraction:
-        return max((max(l.max_abs(), r.max_abs()) for l, r in self.terms), default=Fraction(0))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({l})*X*({r})" for l, r in self.terms)
 
 
 def _simplify(pairs: Tuple[Tuple[Any, Any], ...]) -> Tuple[Tuple[Any, Any], ...]:
@@ -221,9 +210,9 @@ def transport(s0: BiOp, pq: QSeries, lq: Optional[QSeries] = None) -> QSeries:
     S(t) = sum_i (flow(l_i), flow(r_i)) for S0 = sum_i (l_i, r_i): the
     unique solution of dS/dt = [ad(Pq), S] with S(0) = s0, modulo q^(N+1).
     ``lq``, if given, is the flow of ``pq`` from L0 = lq(0) and serves a
-    side equal to L0.  The q^k coefficient pairs the q^k1 coefficient of a
-    left side with the q^(k-k1) coefficient of its right side, so it has at
-    most len(s0.terms) * (k+1) pairs.
+    side equal to L0.  The q^k coefficient is ``BiOp.of`` over the
+    convolution of each term's flowed left side with its flowed right side,
+    so it has at most len(s0.terms) * (k+1) pairs.
     """
     base = s0.alg
     n = pq.trunc
@@ -232,15 +221,8 @@ def transport(s0: BiOp, pq: QSeries, lq: Optional[QSeries] = None) -> QSeries:
     for x in (x for pair in s0.terms for x in pair):
         if x not in flows:
             flows[x] = flow(x, pq)
-    out = []
-    for k in range(n + 1):
-        pairs = []
-        for left, right in s0.terms:
-            ls, rs = flows[left].coeffs, flows[right].coeffs
-            for k1 in range(k + 1):
-                if not (ls[k1].is_zero() or rs[k - k1].is_zero()):
-                    pairs.append((ls[k1], rs[k - k1]))
-        out.append(BiOp.of(base, pairs))
+    sides = [(nonzero(flows[left].coeffs), holes(flows[right].coeffs)) for left, right in s0.terms]
+    out = (BiOp.of(base, [p for ls, rs in sides for p in convolution(ls, rs, k)]) for k in range(n + 1))
     return QSeries(BiOpAlgebra(base), tuple(out))
 
 
@@ -252,25 +234,21 @@ def symmetry3_residual(sq: QSeries, pq: QSeries) -> QSeries:
 
 def apply_series(sq: QSeries, xq: QSeries) -> QSeries:
     """Apply a q-series of BiOps to a q-series of A-elements: the Cauchy
-    product with the BiOp action as multiplication (the weights add)."""
+    product with the BiOp action as multiplication (the weights add): at
+    q^k, one ``dot`` over the pairs (l*x_j, r) for (l, r) in S_i, i + j = k."""
     sq._check(xq)
-    alg = xq.alg
-    n = sq.trunc
-    out = [alg.zero] * (n + 1)
-    for i, bop in enumerate(sq.coeffs):
-        if bop.is_zero():
-            continue
-        for j in range(n + 1 - i):
-            x = xq.coeffs[j]
-            if not x.is_zero():
-                out[i + j] = out[i + j] + bop.apply(x)
-    return QSeries(alg, tuple(out))
+    zero = xq.alg.zero
+    ops, xs = nonzero(sq.coeffs), holes(xq.coeffs)
+    out = []
+    for k in range(sq.trunc + 1):
+        pairs = [(left * x, right) for bop, x in convolution(ops, xs, k) for left, right in bop.terms]
+        out.append(type(zero).dot(pairs) if pairs else zero)
+    return QSeries(xq.alg, tuple(out))
 
 
 def apply_to_probe(sq: QSeries, x: Any) -> QSeries:
     """Apply every BiOp coefficient of a q-series to a fixed probe."""
-    base = sq.alg.base
-    return sq.map_coeffs(lambda bop: bop.apply(x) if bop.terms else base.zero, alg=base)
+    return sq.map_coeffs(lambda bop: bop.apply(x), alg=sq.alg.base)
 
 
 def tensor_vanishes(residual: QSeries) -> bool:

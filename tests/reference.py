@@ -1,5 +1,6 @@
-"""Reference maps, exact matrix determinant and inverse, symbol accessors
-and the tree form of a series report, that only the tests use.
+"""Reference maps, the pairwise BiOp action, exact matrix determinant and
+inverse, symbol accessors and the tree form of a series report, that only
+the tests use.
 
 Each one restates a definition from the paper, or a report format, on top
 of the library's public operations, so a test can compare a command's
@@ -40,6 +41,24 @@ def series_json(series: QSeries) -> dict:
 def extensionally_equal(x: BiOp, y: BiOp, probes: Sequence[Any]) -> bool:
     """Equality of the denoted maps on a probe set."""
     return all(x.apply(p) == y.apply(p) for p in probes)
+
+
+def apply_pairwise(bop: BiOp, x: Any) -> Any:
+    """The BiOp action summed one pair at a time, as (left*x)*right."""
+    acc = bop.alg.zero
+    for left, right in bop.terms:
+        acc = acc + left * x * right
+    return acc
+
+
+def apply_series_pairwise(sq: QSeries, xq: QSeries) -> QSeries:
+    """``apply_series`` as a Cauchy product summed one action at a time."""
+    out = [xq.alg.zero] * (sq.trunc + 1)
+    for i, bop in enumerate(sq.coeffs):
+        for j, x in enumerate(xq.coeffs[: sq.trunc + 1 - i]):
+            if not (bop.is_zero() or x.is_zero()):
+                out[i + j] = out[i + j] + apply_pairwise(bop, x)
+    return QSeries(xq.alg, tuple(out))
 
 
 def coeff(symbol: PsdoSymbol, k: int) -> DiffPoly:

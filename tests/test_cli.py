@@ -253,6 +253,39 @@ def test_flow_with_a_wrong_bracket_fails_the_checks(monkeypatch, capsys):
                     assert "transported solution: FAIL" in out
 
 
+def test_symmetry_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
+    # M = S.Lq and the symmetry2 residual sum through the same dot as the
+    # flow: a faulty dot may leave a verdict unchanged, but any change to
+    # the output must come with exit 1, and nothing may crash or exit 2
+    from qlax import PsdoSymbol, RatMatrix
+
+    def bracket_swapped(real):
+        return lambda pairs, bracket=False, divisor=1: real([(b, a) for a, b in pairs] if bracket else pairs, bracket, divisor)
+
+    def product_swapped(real):
+        return lambda pairs, bracket=False, divisor=1: real(pairs if bracket else [(b, a) for a, b in pairs], bracket, divisor)
+
+    def last_pair_dropped(real):
+        return lambda pairs, bracket=False, divisor=1: real(pairs[:-1] or pairs, bracket, divisor)
+
+    def divisor_ignored(real):
+        return lambda pairs, bracket=False, divisor=1: real(pairs, bracket)
+
+    deep = tmp_path / "kdv_d_u_n5.json"
+    doc = json.loads((PROBLEMS / "kdv_symmetry_n2.json").read_text())
+    deep.write_text(json.dumps({**doc, "N": 5, "S0": [["d", "u"]]}))
+    for path in (PROBLEMS / "matrix_symmetry_n3.json", PROBLEMS / "kdv_symmetry_n2.json", deep):
+        clean = run(capsys, "symmetry", str(path))
+        assert clean[0] == 0, path.name
+        for fault in (bracket_swapped, product_swapped, last_pair_dropped, divisor_ignored):
+            with monkeypatch.context() as m:
+                for cls in (RatMatrix, PsdoSymbol):
+                    m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
+                code, out, _ = run(capsys, "symmetry", str(path))
+            assert code in (0, 1), (path.name, fault.__name__)
+            assert code == 1 or out == clean[1], (path.name, fault.__name__)
+
+
 def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
     # invert_unipotent and iterated_integrals are test references only, and
     # symmetry never computes W: every golden run is unchanged without them
@@ -772,10 +805,11 @@ def test_problem_files_match_schema():
 
 def test_value_renderings_match_component_schemas():
     from qlax import MatrixAlgebra, QSeries, kdv_pair
-    from qlax.render import json_value
+    from qlax.render import dumps, json_value
 
     validate(json_value(kdv_pair().L), "symbol.schema.json")
-    validate(json_value(QSeries.one(MatrixAlgebra(2), 3)), "qseries.schema.json")
+    # a report writes a series in its weight-0 form, through dumps
+    validate(json.loads(dumps(QSeries.one(MatrixAlgebra(2), 3))), "qseries.schema.json")
     validate({"probes": ["u", [["1", "0"], ["0", "1"]]]}, "probes.schema.json")
 
 

@@ -19,6 +19,7 @@ from qlax import (
     LaxProblem,
     MatrixAlgebra,
     PsdoAlgebra,
+    PrecisionExhausted,
     PsdoSymbol,
     QSeries,
     RatMatrix,
@@ -26,6 +27,7 @@ from qlax import (
     ad,
     apply_series,
     apply_to_probe,
+    compose,
     deform,
     exp_ad,
     kdv_pair,
@@ -41,7 +43,7 @@ from qlax import (
 )
 
 from conftest import diffops, int_stream, matrices, rint, small_fractions
-from reference import det, extensionally_equal, invert, symmetry2_residual
+from reference import apply_pairwise, apply_series_pairwise, det, extensionally_equal, invert, symmetry2_residual
 
 M2 = MatrixAlgebra(2)
 UNITS2 = M2.probes()
@@ -83,6 +85,48 @@ def test_apply_is_a_representation():
         t = rand_biop(M2, stream)
         x = mat_random(2, next(stream), 3)
         assert (s * t).apply(x) == s.apply(t.apply(x))
+
+
+@st.composite
+def action_cases(draw):
+    # one backend per example: 1x1..3x3 matrices with fractional entries, or
+    # symbols, some of them below a precision floor; unit sides, empty BiOps
+    # and zero coefficients at random q-orders
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        alg = MatrixAlgebra(n)
+        element = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n).map(RatMatrix.of)
+    else:
+        alg = PsdoAlgebra()
+        floored = st.tuples(diffops(max_order=1), st.integers(-3, -1)).map(
+            lambda t: compose(PsdoSymbol.xi(-1), t[0], floor=t[1])
+        )
+        element = st.one_of(diffops(max_order=2), floored, st.just(PsdoSymbol.xi(-1)))
+    side = st.one_of(st.just(alg.one), element)
+    biop = st.lists(st.tuples(side, side), max_size=2).map(lambda pairs: BiOp.of(alg, pairs))
+    n = draw(st.integers(0, 3))
+    ops = draw(st.lists(st.one_of(st.just(BiOp.zero(alg)), biop), min_size=n + 1, max_size=n + 1))
+    xs = draw(st.lists(st.one_of(st.just(alg.zero), element), min_size=n + 1, max_size=n + 1))
+    return QSeries.of(BiOpAlgebra(alg), ops), QSeries.of(alg, xs)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@settings(max_examples=50, deadline=None)
+@given(action_cases())
+def test_action_matches_the_pairwise_reference(case):
+    # one dot over (left*x, right) sums what the pairwise loop sums, with
+    # the same precision floor and the same failures
+    sq, xq = case
+    assert outcome(apply_series, sq, xq) == outcome(apply_series_pairwise, sq, xq)
+    for bop in sq.coeffs:
+        for x in xq.coeffs:
+            assert outcome(bop.apply, x) == outcome(apply_pairwise, bop, x)
 
 
 # -- ad ----------------------------------------------------------------------
@@ -142,9 +186,10 @@ def test_ad_is_a_lie_homomorphism():
 def test_biop_bracket_matches_products(seed, pairs_x, pairs_y):
     stream = int_stream(seed)
     x, y = rand_biop(M2, stream, pairs=pairs_x), rand_biop(M2, stream, pairs=pairs_y)
-    assert x.bracket(y) == x * y - y * x
+    bracket = BiOp.dot(((x, y),), True)
+    assert bracket == x * y - y * x
     for probe in UNITS2:
-        assert x.bracket(y).apply(probe) == x.apply(y.apply(probe)) - y.apply(x.apply(probe))
+        assert bracket.apply(probe) == x.apply(y.apply(probe)) - y.apply(x.apply(probe))
 
 
 biops = st.lists(st.tuples(matrices(n=2), matrices(n=2)), max_size=2).map(lambda t: BiOp.of(M2, t))
