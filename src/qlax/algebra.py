@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?$")  # a literal like -3/7, in ASCII digits
 
 
 def rational_parts(value: int | str | Fraction) -> tuple[int, int]:
@@ -57,7 +57,7 @@ def rational_parts(value: int | str | Fraction) -> tuple[int, int]:
         return value, 1
     if isinstance(value, str):
         text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        if not RATIONAL.match(text):
             raise ValueError(f"not an exact rational literal: {value!r}")
         num, _, den = text.partition("/")
         n, d = int(num), int(den or 1)

@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 from typing import List, Optional
 
-from .algebra import rational
+from .algebra import RATIONAL, rational
 from .diffpoly import DiffPoly
 from .errors import ProblemFileError, QlaxError
 from .laxflow import MAX_ORDER, dt_series, lax_residual, lax_solve
@@ -49,8 +48,6 @@ from . import expr
 
 PASS = "PASS"
 FAIL = "FAIL"
-
-_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -278,7 +275,7 @@ def _attach_negative_fractions(argv: List[str]) -> List[str]:
         if arg == "--":
             return out + list(argv[i:])
         prev = out[-1] if out else ""
-        if _NEGATIVE_FRACTION.match(arg) and prev.startswith("--") and "=" not in prev:
+        if arg.startswith("-") and "/" in arg and RATIONAL.match(arg) and prev.startswith("--") and "=" not in prev:
             out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)

@@ -14,6 +14,9 @@ symbol composition, so ``d*u`` denotes u*d + u_1 as an operator.  Only
 nonnegative powers of ``d`` are denotable: every well-formed expression
 elaborates to an exact differential-operator symbol.
 
+Digits are ASCII ``0-9``: a non-ASCII digit starts a word that names no
+identifier, and a digit run longer than ``int`` reads is a ``ParseError``.
+
 The parser elaborates as it goes, into a symbol or into a plain
 differential polynomial (used for coefficients), where ``d`` is rejected
 as unbound.  Sums and products are parsed by loops, so a long flat sum
@@ -26,6 +29,8 @@ powers stay within MAX_POWER, e.g. ``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
 from __future__ import annotations
 
 import operator
+import re
+import sys
 from fractions import Fraction
 from typing import List, NoReturn, Tuple
 
@@ -36,7 +41,11 @@ from .psdo import PsdoSymbol, compose
 
 # -- tokens ------------------------------------------------------------
 
-_PUNCT = "+-*^()/"
+# One alternative per lexeme, in order: ASCII digits, a word (not starting
+# with an ASCII digit or "_"), punctuation, line break, space, anything else.
+_LEXEME = re.compile(r"(?P<int>[0-9]+)|(?P<word>[^\W0-9_]\w*)|(?P<punct>[-+*^()/])"
+                     r"|(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<other>.)")
+_JET = re.compile(r"u(?:_([0-9]+))?")
 
 
 class Token:
@@ -49,53 +58,26 @@ class Token:
 
 def _tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(source) and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word == "d":
-                tokens.append(Token("d", word, line, start_col))
-            elif word == "u":
-                tokens.append(Token("jet", "0", line, start_col))
-            elif word.startswith("u_") and word[2:].isdigit():
-                if int(word[2:]) > MAX_JET:
-                    raise ParseError(f"jet index too large in {word!r}: above {MAX_JET}", line, start_col)
-                tokens.append(Token("jet", word[2:], line, start_col))
-            else:
-                raise UnboundIdentifier(f"unknown identifier {word!r}", line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(source):
+        kind, text, column = m.lastgroup, m[0], m.start() - line_start + 1
+        jet = kind == "word" and _JET.fullmatch(text)
+        digits = jet[1] if jet else m["int"]
+        if digits and len(digits) > sys.get_int_max_str_digits() > 0:  # then int() raises; 0 is no limit
+            raise ParseError(f"number too long: {len(digits)} digits, above {sys.get_int_max_str_digits()}", line, column)
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other":
+            raise ParseError(f"unexpected character {text!r}", line, column)
+        elif jet:
+            if int(jet[1] or 0) > MAX_JET:
+                raise ParseError(f"jet index too large in {text!r}: above {MAX_JET}", line, column)
+            tokens.append(Token("jet", jet[1] or "0", line, column))
+        elif kind == "word" and text != "d":
+            raise UnboundIdentifier(f"unknown identifier {text!r}", line, column)
+        elif kind != "space":
+            tokens.append(Token("int" if kind == "int" else text, text, line, column))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 

@@ -165,10 +165,10 @@ def _read_json(path: str, field: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ProblemFileError(field, f"invalid JSON: {e}") from e
     except UnicodeDecodeError as e:
         raise ProblemFileError(field, f"not UTF-8 text: {e}") from e
+    except ValueError as e:  # malformed, or an integer longer than int() reads
+        raise ProblemFileError(field, f"invalid JSON: {e}") from e
     except RecursionError:
         raise ProblemFileError(field, "JSON nested too deeply") from None
 

@@ -1,6 +1,6 @@
 """Reference maps, the pairwise BiOp action, exact matrix determinant and
-inverse, symbol accessors and the tree form of a series report, that only
-the tests use.
+inverse, symbol accessors, the tree form of a series report and the
+character-loop DSL lexer, that only the tests use.
 
 Each one restates a definition from the paper, or a report format, on top
 of the library's public operations, so a test can compare a command's
@@ -9,19 +9,23 @@ shortcut with it.
 
 import math
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, List, Sequence
 
 from qlax import (
     BiOp,
     DiffPoly,
+    ParseError,
     PrecisionExhausted,
     PsdoSymbol,
     QlaxError,
     QSeries,
     RatMatrix,
+    UnboundIdentifier,
     apply_series,
     symmetry3_residual,
 )
+from qlax.diffpoly import MAX_JET
+from qlax.expr import Token
 
 
 def series_json(series: QSeries) -> dict:
@@ -129,3 +133,57 @@ def invert(m: RatMatrix) -> RatMatrix:
             factor = aug[r][col]
             aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return RatMatrix.of(row[n:] for row in aug)
+
+
+def tokenize_by_characters(source: str) -> List[Token]:
+    """The DSL lexer as a loop over characters, read with ``str`` predicates
+    (on ASCII text they agree with the one-pattern lexer)."""
+    tokens: List[Token] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        start_col = col
+        if ch.isdigit():
+            j = i
+            while j < len(source) and source[j].isdigit():
+                j += 1
+            tokens.append(Token("int", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            if word == "d":
+                tokens.append(Token("d", word, line, start_col))
+            elif word == "u":
+                tokens.append(Token("jet", "0", line, start_col))
+            elif word.startswith("u_") and word[2:].isdigit():
+                if int(word[2:]) > MAX_JET:
+                    raise ParseError(f"jet index too large in {word!r}: above {MAX_JET}", line, start_col)
+                tokens.append(Token("jet", word[2:], line, start_col))
+            else:
+                raise UnboundIdentifier(f"unknown identifier {word!r}", line, start_col)
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^()/":
+            tokens.append(Token(ch, ch, line, start_col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens

@@ -390,6 +390,43 @@ def test_problem_file_schema_and_keys(tmp_path, capsys):
     assert run(capsys, "lax-solve", str(path))[0] == 0
 
 
+LONG = "1" * 5000  # past the 4,300 digits int() reads from text
+MATRIX_1X1 = '{"backend": "matrix", "L0": [[%s]], "P": [[0, [["1"]]]], "N": %s}'
+
+
+@pytest.mark.parametrize("argv, files", [
+    pytest.param(["commutator", "²", "u"], {}, id="superscript-digit"),
+    pytest.param(["commutator", "u_²", "u"], {}, id="superscript-jet-index"),
+    pytest.param(["commutator", "٣", "u"], {}, id="arabic-indic-digit"),
+    pytest.param(["commutator", LONG, "u"], {}, id="long-integer"),
+    pytest.param(["commutator", "u", f"1/{LONG}"], {}, id="long-denominator"),
+    pytest.param(["commutator", f"u^{LONG}", "u"], {}, id="long-exponent"),
+    pytest.param(["commutator", "u", f"u_{LONG}"], {}, id="long-jet-index"),
+    pytest.param(["lax-solve", "P"], {"P": json.dumps({"backend": "psdo", "L0": "u_²", "P": [[0, "d"]], "N": 1})},
+                 id="problem-superscript-jet-index"),
+    pytest.param(["lax-solve", "P"], {"P": MATRIX_1X1 % ('"1"', LONG)}, id="problem-long-json-n"),
+    pytest.param(["lax-solve", "P"], {"P": MATRIX_1X1 % (LONG, 1)}, id="problem-long-json-entry"),
+    pytest.param(["lax-solve", "P"], {"P": MATRIX_1X1 % ('"٣"', 1)}, id="problem-arabic-indic-entry"),
+    pytest.param(["symmetry", str(PROBLEMS / "matrix_symmetry_n3.json"), "--probe-set", "P"],
+                 {"P": '{"probes": [[[%s]]]}' % LONG}, id="probe-set-long-json-entry"),
+    pytest.param(["kdv-verify", "--perturb=-٣/٢"], {}, id="perturb-arabic-indic"),
+    pytest.param(["kdv-verify", "--perturb", "-٣/٢"], {}, id="perturb-arabic-indic-apart"),
+    pytest.param(["convergence", str(PROBLEMS / "matrix3x3_n2.json"), "--q", "١/٨"], {}, id="q-arabic-indic"),
+])
+def test_input_literals_exit_2_with_one_error_line(tmp_path, capsys, argv, files):
+    # non-ASCII digits and digit runs past int()'s limit, in every place a literal is read
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    try:
+        code = main([str(tmp_path / arg) if arg in files else arg for arg in argv])
+    except SystemExit as exc:  # argparse rejects the option value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert "Traceback" not in err
+
+
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"backend": "matrix", "L0": [["\xff"]]}')

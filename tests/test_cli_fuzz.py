@@ -4,7 +4,8 @@ Exit 2 is an input error, and 1 means "checks ran and failed", so it must
 come with a failed verdict on stdout.  No input may end in a traceback.
 Truncation orders stay at most 3 and DSL exponents and jet indices at most
 4, which keeps every run small, except for powers whose nested exponents
-multiply past the DSL's bound: those must exit 2.
+multiply past the DSL's bound, non-ASCII digits and a digit run too long
+for int(): those must exit 2.
 """
 
 import io
@@ -22,7 +23,9 @@ from qlax.cli import main
 # d^4*u_4 already takes seconds at N = 3.  Commutator arguments may join two.
 ATOMS = ("d", "d^2", "d^4", "u", "u_1", "u_4", "u^2", "1", "1/2", "-3")
 TOO_BIG = ("d^25", "u^99999999", "(u^5)^5", "((d + u)^16)^16")
-atom = st.sampled_from(ATOMS * 4 + TOO_BIG)
+# Digits are ASCII, and int() reads at most 4,300 of them.
+UNREAD = ("²", "٣", "1" * 5000)
+atom = st.sampled_from(ATOMS * 4 + TOO_BIG + UNREAD)
 soup = st.lists(st.sampled_from(ATOMS + ("+", "-", "*", "^", "(", ")", "u_", "/0")), max_size=5).map(" ".join)
 dsl = atom | st.tuples(atom, st.sampled_from([" + ", " - ", "*"]), atom).map("".join) | soup
 
@@ -141,7 +144,8 @@ def test_cli_exit_codes_and_no_traceback(case):
     assert code in (0, 1, 2), (args, code, err)
     assert "Traceback" not in err
     read = args[1:3] if args[0] == "commutator" else [problem.decode("latin-1")] * (args[0] != "kdv-verify")
-    if any(big in text for big in TOO_BIG for text in read):
+    # a problem file escapes non-ASCII text, as json.dumps does
+    if any(big in text or json.dumps(big)[1:-1] in text for big in TOO_BIG + UNREAD for text in read):
         assert code == 2, (args, code, err)
     if code == 1:
         assert "FAIL" in out or '"pass": false' in out, (args, out)

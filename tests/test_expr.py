@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlax import (
     DiffPoly,
@@ -18,6 +19,7 @@ from qlax import (
 )
 
 from conftest import diffops
+from reference import tokenize_by_characters
 
 U = DiffPoly.u(0)
 U1 = DiffPoly.u(1)
@@ -91,6 +93,46 @@ def test_unbound_identifiers():
         parse_operator("u_x")
     with pytest.raises(UnboundIdentifier):
         parse_operator("du")
+
+
+# ASCII lexemes, pieces of them and characters no lexeme takes.  Joined with
+# nothing between them they also make longer words ("uu", "u_12d") and runs.
+PIECES = ("u", "d", "u_", "u_00001", "u_1000", "u_1001", "_", "x", "0", "7", "12", "+", "-", "*", "^", "(", ")",
+          "/", " ", "\t", "\n", "\r", "\x1c", ".", "!")
+
+
+def lexed(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except ParseError as e:
+        return type(e), str(e), e.line, e.column
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["", " "]).flatmap(lambda sep: st.lists(st.sampled_from(PIECES), max_size=12).map(sep.join))
+       | st.text("ud_x0129+-*^()/ \n.", max_size=12))
+@example("u_1000 + u_00001*u\n\t d^12 - 7/0")
+@example("u_1001")
+@example("u_")
+def test_lexer_matches_the_character_loop_on_ascii(text):
+    from qlax.expr import _tokenize
+
+    assert lexed(_tokenize, text) == lexed(tokenize_by_characters, text)
+
+
+def test_digits_are_ascii_and_bounded():
+    # a non-ASCII digit starts a word that names no identifier, and a digit
+    # run that int() would refuse is an error at its token
+    for text, column in (("²", 1), ("u_²", 1), ("2*٣", 3), ("u + u_١", 5)):
+        with pytest.raises(UnboundIdentifier) as err:
+            parse_operator(text)
+        assert err.value.column == column, text
+    long = "1" * 4301
+    for text, column in ((long, 1), (f"1/{long}", 3), (f"u^{long}", 3), (f"d*u_{long}", 3), ("u_" + "0" * 4301, 1)):
+        with pytest.raises(ParseError, match="number too long: 4301 digits") as err:
+            parse_operator(text)
+        assert err.value.column == column, text
+    assert parse_operator("u_" + "0" * 4299 + "1") == parse_operator("u_1")
 
 
 def test_parse_rejects_zero_denominator():

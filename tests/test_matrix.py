@@ -244,6 +244,25 @@ def test_convergence_random_3x3_ratio_near_eight():
     assert Fraction(7, 10) * 8 <= ratio <= Fraction(13, 10) * 8
 
 
+def test_convergence_solves_once_and_matches_two_solves(monkeypatch):
+    # the order-n solution is the reference's first n+1 coefficients, so the
+    # study solves only at the reference order
+    from qlax import matrix
+
+    alg = MatrixAlgebra(3)
+    p = TPoly.of(alg, [mat_random(3, 21, 2), mat_random(3, 22, 2)])
+    prob = LaxProblem(p=p, l0=mat_random(3, 23, 2), n=3)
+    solves = []
+    monkeypatch.setattr(matrix, "lax_solve", lambda pr: solves.append(pr.n) or lax_solve(pr))
+    qs = [Fraction(1, 8), Fraction(-1, 3), 2]
+    report = convergence_study(prob, qs, 9)
+    assert solves == [9]
+    lq, ref = lax_solve(prob).lq, lax_solve(LaxProblem(p=p, l0=prob.l0, n=9)).lq
+    assert lq.coeffs == ref.coeffs[:4]
+    for q0, point in zip(qs, report.points):
+        assert point.error == (eval_tq(lq, 1, q0) - eval_tq(ref, 1, q0)).max_abs() != 0
+
+
 def test_convergence_requires_headroom():
     with pytest.raises(ValueError):
         convergence_study(nilpotent_problem(2), [Fraction(1, 2)], 3)
