@@ -27,6 +27,7 @@ from .laxflow import (
     deform,
     dt_series,
     eval_tq,
+    first_defect,
     integrate_series,
     iterated_integrals,
     lax_residual,
@@ -95,6 +96,7 @@ __all__ = [
     "dt_series",
     "eval_tq",
     "exp_ad",
+    "first_defect",
     "integrate_series",
     "iterated_integrals",
     "kdv_pair",

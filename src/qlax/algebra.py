@@ -20,11 +20,16 @@ a*b) / divisor, or (sum of [a, b]) / divisor when ``bracket`` is set, for
 a positive integer divisor, reducing once at the end.  Every series
 product, bracket, Taylor step and ``BiOp`` action is one ``dot`` call per
 q-order, found through ``type(alg.zero)``, over the pairs that
-``convolution`` lists.  The generic container ``BiOp`` works over any such
-algebra and its values are elements in the same sense, so a q-series of
-BiOps over matrices is one more instance of the same contract; a
-``QSeries`` has the same ring operations but is never itself a
-coefficient.
+``convolution`` lists.  A matrix or symbol type has a second static
+method, ``dot_equals(pairs, bracket, k, target)``: whether that sum
+(without a divisor) equals k*target.  ``laxflow.first_defect`` checks the
+flow equations with it, and the matrix version compares in plain integers
+and never calls ``dot``, so those checks share no arithmetic with the
+kernel that built the series they check.  The generic container ``BiOp``
+works over any such algebra and its values are elements in the same
+sense, so a q-series of BiOps over matrices is one more instance of the
+same contract; a ``QSeries`` has the same ring operations but is never
+itself a coefficient.
 
 A path P(t) is given as a :class:`TPoly`, an exact polynomial in t.  Once
 deformed it becomes a q-series whose q^k coefficient carries a single,
@@ -35,6 +40,7 @@ t-polynomials.
 from __future__ import annotations
 
 import re
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,11 +66,20 @@ def rational_parts(value: int | str | Fraction) -> tuple[int, int]:
         if not RATIONAL.match(text):
             raise ValueError(f"not an exact rational literal: {value!r}")
         num, _, den = text.partition("/")
-        n, d = int(num), int(den or 1)
+        n, d = int_literal(num), int_literal(den or "1")
         if not d:
             raise ValueError(f"denominator must be positive: {value!r}")
         return n, d
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
+
+
+def int_literal(text: str) -> int:
+    """``int`` of an ASCII integer literal, with a ValueError in qlax's
+    words for one past the interpreter's digit limit (0 means no limit)."""
+    digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+    if digits > limit > 0:
+        raise ValueError(f"number too long: {digits} digits, above {limit}")
+    return int(text)
 
 
 def rational(value: int | str | Fraction) -> Fraction:

@@ -31,8 +31,16 @@ x_0 is unique, so flow(x) is the conjugation W x W^-1; only the tests build
 W^-1 to check that.  W is also the sum of the iterated integrals a_0 = 1,
 a_i = integral_0^t Pq a_{i-1} (val(a_i) >= i), which ``iterated_integrals``
 keeps as a test reference.
-``lax_residual`` recomputes the flow's equation as the series identity
-dt_series(Lq) - Pq.bracket(Lq), summed by q-order, not by the recurrence.
+
+``first_defect`` checks either equation order by order, apart from the
+recurrence: at each q^k it compares k*x_k with the sum of the steps over
+the pairs ``convolution`` lists, with one static ``dot_equals`` of the
+coefficient type, and names the first order where they differ.  On
+matrices that comparison is integer cross-multiplication that never calls
+``dot``, so the check shares no arithmetic with the solver's kernel.
+``lax_residual`` builds the whole residual dt_series(Lq) - Pq.bracket(Lq)
+through the kernel: the symmetry residual is one, and a failed check
+reports its per-order norms.
 
 Everything here is generic over the coefficient algebra A (matrices,
 operator symbols, or tensor pairs of either).
@@ -43,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, List
+from typing import Any, List, Optional
 
 from .algebra import Algebra, TPoly, convolution, holes, nonzero, rational
 from .errors import ValuationError
@@ -173,6 +181,26 @@ def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
     return dt_series(lq) - pq.bracket(lq)
+
+
+def first_defect(x: QSeries, pq: QSeries, bracket: bool) -> Optional[int]:
+    """The first q-order k at which k*x_k differs from the sum of
+    step(pq_i, x_(k-i)), or None when x solves dX/dt = [Pq, X] (``bracket``
+    set) or dX/dt = Pq*X exactly; it raises what ``lax_residual`` raises.
+
+    One ``dot_equals`` comparison per q-order, stopping at the first that
+    fails.  The target is k*x_k, never a kernel call with divisor k, so a
+    kernel that drops its divisor is caught too."""
+    if pq.val() < 1:
+        raise ValuationError("the path of a flow needs q-valuation >= 1")
+    pq._check(x)
+    equals = type(pq.alg.zero).dot_equals
+    path, xs = nonzero(pq.coeffs), holes(x.coeffs)
+    for k, target in enumerate(x.coeffs):
+        pairs = convolution(path, xs, k)
+        if not (equals(pairs, bracket, k, target) if pairs else target.scale(k).is_zero()):
+            return k
+    return None
 
 
 def eval_tq(s: QSeries, t0: int | Fraction, q0: int | Fraction) -> Any:

@@ -166,6 +166,37 @@ class RatMatrix:
         cols = tuple(zip(*right))
         return _canonical(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows), den * divisor)
 
+    @staticmethod
+    def dot_equals(pairs: Sequence[Tuple["RatMatrix", "RatMatrix"]], bracket: bool, k: int, target: "RatMatrix") -> bool:
+        """Whether the sum of a*b (or of [a, b] when ``bracket`` is set) over
+        a nonempty sequence of pairs equals k*target, in plain integers.
+
+        The pairs are laid out in the block form of ``dot`` over the lcm
+        ``den`` of the pair denominators, and each entry s/den of the sum is
+        cross-multiplied against t/target.den: s*target.den == k*den*t.
+        Nothing is reduced, no ``RatMatrix`` is built and ``dot`` is never
+        called, so a check made with this shares no arithmetic with the
+        kernel that built the series it checks.
+        """
+        n = len(target.num)
+        den = lcm(*(a.den * b.den for a, b in pairs))
+        rows: List[list] = [[] for _ in range(n)]
+        right: list = []
+        for a, b in pairs:
+            if len(a.num) != n or len(b.num) != n:
+                other = len(b.num) if len(a.num) == n else len(a.num)
+                raise ShapeMismatch(f"matrix sizes differ: {n} vs {other}")
+            f = den // (a.den * b.den)
+            for x, y, c in ((a, b, f), (b, a, -f)) if bracket else ((a, b, f),):
+                for row, xr in zip(rows, x.num):
+                    row += xr if c == 1 else [c * v for v in xr]
+                right += y.num
+        cols = tuple(zip(*right))
+        td, kd = target.den, k * den
+        return all(
+            td * sum(map(mul, row, col)) == kd * t for row, trow in zip(rows, target.num) for col, t in zip(cols, trow)
+        )
+
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .algebra import Algebra, TPoly
+from .algebra import Algebra, TPoly, int_literal
 from .errors import ProblemFileError, QlaxError
 from .laxflow import MAX_ORDER, LaxProblem
 from .matrix import MatrixAlgebra, RatMatrix
@@ -162,12 +162,19 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
 
 def _read_json(path: str, field: str) -> Any:
     """Parse a JSON file; malformed content is an input error naming ``field``."""
+
+    def parse_int(text: str) -> int:
+        try:
+            return int_literal(text)
+        except ValueError as e:  # an integer longer than int() reads
+            raise ProblemFileError(field, str(e)) from None
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except UnicodeDecodeError as e:
         raise ProblemFileError(field, f"not UTF-8 text: {e}") from e
-    except ValueError as e:  # malformed, or an integer longer than int() reads
+    except ValueError as e:
         raise ProblemFileError(field, f"invalid JSON: {e}") from e
     except RecursionError:
         raise ProblemFileError(field, "JSON nested too deeply") from None

@@ -135,6 +135,14 @@ class PsdoSymbol:
                 products.append((b, a, -1))
         return _sum_of_products(products, floor, int(bracket), divisor)
 
+    @staticmethod
+    def dot_equals(pairs: Sequence[Tuple["PsdoSymbol", "PsdoSymbol"]], bracket: bool, k: int, target: "PsdoSymbol") -> bool:
+        """Whether ``dot(pairs, bracket)`` equals k*target.  A sum that
+        carries a precision floor equals nothing, as its difference from
+        any symbol has unknown orders."""
+        total = PsdoSymbol.dot(pairs, bracket)
+        return total.floor is None and total == target.scale(k)
+
     def __pow__(self, n: int) -> "PsdoSymbol":
         if n < 0:
             raise ValueError("negative operator powers are not defined")

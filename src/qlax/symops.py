@@ -53,7 +53,7 @@ from math import lcm
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from .algebra import Algebra, algebra_of, convolution, holes, nonzero, rational
-from .laxflow import LaxProblem, LaxSolution, flow, lax_residual, texp
+from .laxflow import LaxProblem, LaxSolution, first_defect, flow, lax_residual, texp
 from .qseries import QSeries
 
 
@@ -280,7 +280,7 @@ def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq:
     the integral from 0 of lower orders), so this says M is the solution
     started at S0(L0), without solving for it.
     """
-    if not lax_residual(sol.lq, sol.pq).is_zero() or sol.lq.coeffs[0] != prob.l0:
+    if first_defect(sol.lq, sol.pq, True) is not None or sol.lq.coeffs[0] != prob.l0:
         return False
     mq = apply_series(sq, sol.lq)
-    return lax_residual(mq, sol.pq).is_zero() and mq.coeffs[0] == s0.apply(prob.l0)
+    return first_defect(mq, sol.pq, True) is None and mq.coeffs[0] == s0.apply(prob.l0)

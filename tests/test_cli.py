@@ -253,37 +253,73 @@ def test_flow_with_a_wrong_bracket_fails_the_checks(monkeypatch, capsys):
                     assert "transported solution: FAIL" in out
 
 
+# Faults of an element kernel ``dot``, each built around the real one.
+
+def bracket_swapped(real):
+    return lambda pairs, bracket=False, divisor=1: real([(b, a) for a, b in pairs] if bracket else pairs, bracket, divisor)
+
+
+def product_swapped(real):
+    return lambda pairs, bracket=False, divisor=1: real(pairs if bracket else [(b, a) for a, b in pairs], bracket, divisor)
+
+
+def last_pair_dropped(real):
+    return lambda pairs, bracket=False, divisor=1: real(pairs[:-1] or pairs, bracket, divisor)
+
+
+def divisor_ignored(real):
+    return lambda pairs, bracket=False, divisor=1: real(pairs, bracket)
+
+
+DOT_FAULTS = (bracket_swapped, product_swapped, last_pair_dropped, divisor_ignored)
+
+
+def assert_faults_change_nothing_silently(monkeypatch, capsys, command, paths):
+    # under each fault installed for the whole command, a changed stdout
+    # must come with exit 1; exit 2 and a crash fail too.  Returns the exit
+    # codes by file name, in the order of DOT_FAULTS
+    from qlax import PsdoSymbol, RatMatrix
+
+    codes = {}
+    for path in paths:
+        clean = run(capsys, command, str(path))
+        assert clean[0] == 0, path.name
+        for fault in DOT_FAULTS:
+            with monkeypatch.context() as m:
+                for cls in (RatMatrix, PsdoSymbol):
+                    m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
+                code, out, _ = run(capsys, command, str(path))
+            assert code in (0, 1), (path.name, fault.__name__)
+            assert code == 1 or out == clean[1], (path.name, fault.__name__)
+            codes.setdefault(path.name, []).append(code)
+    return codes
+
+
 def test_symmetry_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
     # M = S.Lq and the symmetry2 residual sum through the same dot as the
     # flow: a faulty dot may leave a verdict unchanged, but any change to
     # the output must come with exit 1, and nothing may crash or exit 2
-    from qlax import PsdoSymbol, RatMatrix
-
-    def bracket_swapped(real):
-        return lambda pairs, bracket=False, divisor=1: real([(b, a) for a, b in pairs] if bracket else pairs, bracket, divisor)
-
-    def product_swapped(real):
-        return lambda pairs, bracket=False, divisor=1: real(pairs if bracket else [(b, a) for a, b in pairs], bracket, divisor)
-
-    def last_pair_dropped(real):
-        return lambda pairs, bracket=False, divisor=1: real(pairs[:-1] or pairs, bracket, divisor)
-
-    def divisor_ignored(real):
-        return lambda pairs, bracket=False, divisor=1: real(pairs, bracket)
-
     deep = tmp_path / "kdv_d_u_n5.json"
     doc = json.loads((PROBLEMS / "kdv_symmetry_n2.json").read_text())
     deep.write_text(json.dumps({**doc, "N": 5, "S0": [["d", "u"]]}))
-    for path in (PROBLEMS / "matrix_symmetry_n3.json", PROBLEMS / "kdv_symmetry_n2.json", deep):
-        clean = run(capsys, "symmetry", str(path))
-        assert clean[0] == 0, path.name
-        for fault in (bracket_swapped, product_swapped, last_pair_dropped, divisor_ignored):
-            with monkeypatch.context() as m:
-                for cls in (RatMatrix, PsdoSymbol):
-                    m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
-                code, out, _ = run(capsys, "symmetry", str(path))
-            assert code in (0, 1), (path.name, fault.__name__)
-            assert code == 1 or out == clean[1], (path.name, fault.__name__)
+    paths = (PROBLEMS / "matrix_symmetry_n3.json", PROBLEMS / "kdv_symmetry_n2.json", deep)
+    assert_faults_change_nothing_silently(monkeypatch, capsys, "symmetry", paths)
+
+
+def test_matrix_lax_solve_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
+    # the matrix checks compare in integers and never call dot, so a fault
+    # that changes W or Lq cannot confirm itself.  KdV stays out: its
+    # check still sums through PsdoSymbol.dot
+    import random
+
+    rng = random.Random(1)
+    entries = [[[str(rng.choice((-2, -1, 1, 2))) for _ in range(4)] for _ in range(4)] for _ in range(3)]
+    deep = tmp_path / "matrix4x4_n10.json"
+    deep.write_text(json.dumps({"backend": "matrix", "L0": entries[0], "P": [[0, entries[1]], [1, entries[2]]], "N": 10}))
+    codes = assert_faults_change_nothing_silently(monkeypatch, capsys, "lax-solve", (PROBLEMS / "matrix3x3_n2.json", deep))
+    # at N = 2 the products of W's recurrence are p_1*1 and p_0*p_0, so a
+    # swapped product leaves W unchanged
+    assert codes == {"matrix3x3_n2.json": [1, 0, 1, 1], "matrix4x4_n10.json": [1, 1, 1, 1]}
 
 
 def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
@@ -306,6 +342,30 @@ def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
             for fmt in ("text", "json"):
                 key = argv + ("--format", fmt)
                 assert digest(key) == GOLDEN[" ".join(key)]
+
+
+def test_passing_lax_solve_never_builds_the_residual(monkeypatch, tmp_path):
+    # the verdicts come from first_defect; the residual series is built
+    # only to report the norms of a failed check
+    from qlax import cli
+    from test_golden import DEEP, GOLDEN, ROOT, cases, digest, run_deep
+
+    def refuse(*args):
+        raise AssertionError("called on a passing run")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("QLAX_FORMAT", raising=False)
+    monkeypatch.setattr(laxflow, "lax_residual", refuse)
+    monkeypatch.setattr(cli, "lax_residual", refuse)
+    solved = 0
+    for argv in cases():
+        if argv[0] == "lax-solve":
+            for fmt in ("text", "json"):
+                key = argv + ("--format", fmt)
+                assert digest(key) == GOLDEN[" ".join(key)]
+                solved += 1
+    assert solved == 10
+    assert run_deep(tmp_path) == DEEP
 
 
 def test_lax_solve_rejects_bad_n(tmp_path, capsys):
@@ -425,6 +485,28 @@ def test_input_literals_exit_2_with_one_error_line(tmp_path, capsys, argv, files
     assert (code, out) == (2, "")
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, field", [
+    pytest.param(f'"{LONG}"', "L0", id="string-entry"),
+    pytest.param(LONG, "$", id="json-integer"),
+])
+def test_long_numbers_are_reported_in_qlax_words(tmp_path, capsys, entry, field):
+    # the DSL's wording, not Python's advice to raise the interpreter limit;
+    # a limit of 0 means no limit
+    import sys
+
+    path = tmp_path / "long.json"
+    path.write_text(MATRIX_1X1 % (entry, 1))
+    code, out, err = run(capsys, "lax-solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: field '{field}': number too long: 5000 digits, above {sys.get_int_max_str_digits()}\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run(capsys, "lax-solve", str(path))[0] == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys):

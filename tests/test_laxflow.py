@@ -16,6 +16,7 @@ from qlax import (
     deform,
     dt_series,
     eval_tq,
+    first_defect,
     iterated_integrals,
     kdv_pair,
     lax_residual,
@@ -199,6 +200,95 @@ def test_lax_solve_matrix_product_count(monkeypatch):
     calls.clear()
     prob.l0 * prob.l0, prob.l0.bracket(prob.l0)
     assert len(calls) == 3  # the one-pair product and bracket are counted too
+
+
+def test_lax_solve_command_product_count(monkeypatch, tmp_path, capsys):
+    """The whole ``lax-solve`` command on the problem above passes no more
+    pairs to ``RatMatrix.dot`` than solving for Lq and W takes: its checks
+    compare in integers, and a passing run builds no residual series."""
+    import json
+
+    from qlax.cli import main
+
+    prob = rand_problem(1, n=10, nn=3, deg=2)
+    path = tmp_path / "matrix3x3_n10.json"
+    path.write_text(json.dumps({
+        "backend": "matrix",
+        "L0": prob.l0.to_json(),
+        "P": [[k, c.to_json()] for k, c in enumerate(prob.p.coeffs)],
+        "N": prob.n,
+    }))
+    calls = []
+    dot = RatMatrix.dot
+
+    def counting(pairs, bracket=False, divisor=1):
+        calls.extend([1] * (len(pairs) * (2 if bracket else 1)))
+        return dot(pairs, bracket, divisor)
+
+    monkeypatch.setattr(RatMatrix, "dot", staticmethod(counting))
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert main(["lax-solve", str(path), "--format", fmt]) == 0
+        assert 0 < len(calls) <= 81, fmt
+    capsys.readouterr()
+
+
+def test_first_defect_matches_the_residual_series():
+    """first_defect names the first q-order where the residual series of
+    either equation is nonzero, on solutions and with one coefficient
+    bumped at a random order; the old residual expressions are the
+    reference, floors of symbols included."""
+    import random
+
+    from qlax import DiffPoly, PsdoSymbol
+    from qlax.render import first_nonzero
+
+    def residual_order(lq, pq):
+        found = first_nonzero(lax_residual(lq, pq))
+        return None if found is None else found[0]
+
+    def w_order(w, pq):
+        r = dt_series(w) - pq * w
+        return next((k for k, c in enumerate(r.coeffs) if not c.is_zero()), None)
+
+    rng = random.Random(3)
+    cases = []
+    for seed in range(12):
+        n, nn = 2 + seed % 5, 2 + seed % 3
+        prob = rand_problem(seed + 300, n=n, nn=nn, deg=min(seed % 3, n - 1))
+        bumps = [mat_random(nn, seed, 2), mat_random(nn, seed + 50, 3).scale(Fraction(2, 3))]
+        cases.append((prob, bumps))
+    l_op, p_op = kdv_pair()
+    palg = PsdoAlgebra()
+    u = DiffPoly.u(0)
+    kdv_bumps = [PsdoSymbol.from_dp(u.dx()), parse_operator("d + u").scale(Fraction(1, 2)), PsdoSymbol.of([(0, u)], floor=-1)]
+    for n in (1, 2, 3):
+        cases.append((LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=n), kdv_bumps))
+        if n > 1:
+            cases.append((LaxProblem(p=TPoly.of(palg, [p_op, l_op]), l0=l_op, n=n), kdv_bumps))
+    for prob, bumps in cases:
+        sol = lax_solve(prob)
+        pq, alg = sol.pq, sol.pq.alg
+        assert first_defect(sol.lq, pq, True) is None and residual_order(sol.lq, pq) is None
+        assert first_defect(sol.w, pq, False) is None and w_order(sol.w, pq) is None
+        for bump in bumps:
+            k = rng.randrange(prob.n + 1)
+            lq = sol.lq + QSeries.term(alg, prob.n, bump, k)
+            w = sol.w + QSeries.term(alg, prob.n, bump, k)
+            assert first_defect(lq, pq, True) == residual_order(lq, pq), (prob.n, k)
+            assert first_defect(w, pq, False) == w_order(w, pq), (prob.n, k)
+
+
+def test_first_defect_raises_what_the_residual_raises():
+    from qlax import TruncationMismatch
+
+    bad = QSeries.constant(M2, 2, NILP)
+    with pytest.raises(ValuationError):
+        first_defect(QSeries.one(M2, 2), bad, True)
+    pq = deform(TPoly.const(M2, NILP), 3)
+    for bracket in (True, False):
+        with pytest.raises(TruncationMismatch):
+            first_defect(QSeries.one(M2, 2), pq, bracket)
 
 
 def test_lax_solve_computes_w_only_when_read(monkeypatch):
