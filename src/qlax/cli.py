@@ -50,13 +50,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
-    env = os.environ.get("QLAX_FORMAT")
-    if env in ("json", "text"):
-        return env
-    return args.format
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -65,7 +58,7 @@ def cmd_commutator(args: argparse.Namespace) -> int:
     a = expr.parse_operator(args.a)
     b = expr.parse_operator(args.b)
     result = commutator(a, b)
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         _emit(dumps({"schema": "qlax/commutator/1", "commutator": json_value(result)}))
     else:
         _emit(f"[{args.a}, {args.b}] = {expr.render_operator(result)}")
@@ -80,7 +73,7 @@ def cmd_kdv_verify(args: argparse.Namespace) -> int:
     expected = PsdoSymbol.from_dp(expr.parse_diffpoly("6*u*u_1 - u_3"))
     difference = bracket - expected
     ok = difference.is_zero()
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         doc = {
             "schema": "qlax/kdv-verify/1",
             "pass": ok,
@@ -106,8 +99,7 @@ def cmd_kdv_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_lax_solve(args: argparse.Namespace) -> int:
-    pf = load_problem_file(args.problem, default_n=args.qorder)
-    prob = pf.lax_problem()
+    prob = load_problem_file(args.problem, default_n=args.qorder)
     sol = lax_solve(prob)
     # Independent of the recurrences, and on matrices of their kernel; as
     # the flows are unique, they pin both printed series.
@@ -122,12 +114,12 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
     if failed:
         sys.stderr.write(f"failed check: {', '.join(failed)}\n")
     ok = not failed
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         # the residual is built for its per-order norms only when the check failed
         residual = QSeries.zero(prob.alg, prob.n) if defect is None else lax_residual(sol.lq, sol.pq)
         doc = {
             "schema": "qlax/laxsolve-report/1",
-            "backend": pf.backend,
+            "backend": prob.backend,
             "N": prob.n,
             "W": sol.w,
             "Lq": sol.lq,
@@ -135,7 +127,7 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
         }
         _emit(dumps(doc))
     else:
-        lines = [f"backend: {pf.backend}, N = {prob.n}"]
+        lines = [f"backend: {prob.backend}, N = {prob.n}"]
         lines += series_lines("W", sol.w)
         lines += series_lines("Lq", sol.lq)
         lines.append(f"residual: {'zero (exact)' if defect is None else 'NONZERO' + where}")
@@ -144,32 +136,31 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _symmetry_probes(args: argparse.Namespace, pf) -> list:
-    probes = pf.alg.probes()
-    probes.append(pf.l0)
-    for c in pf.p.coeffs:
+def _symmetry_probes(args: argparse.Namespace, prob) -> list:
+    probes = prob.alg.probes()
+    probes.append(prob.l0)
+    for c in prob.p.coeffs:
         if not c.is_zero() and c not in probes:
             probes.append(c)
     if args.probe_set:
-        probes.extend(load_probes(args.probe_set, pf.backend, pf.alg))
+        probes.extend(load_probes(args.probe_set, prob.backend, prob.alg))
     return probes
 
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
-    pf = load_problem_file(args.problem, default_n=args.qorder)
-    if pf.s0 is None:
+    prob = load_problem_file(args.problem, default_n=args.qorder)
+    if prob.s0 is None:
         raise ProblemFileError("S0", "missing (the symmetry command needs an initial symmetry)")
-    prob = pf.lax_problem()
     sol = lax_solve(prob)
-    sq = transport(pf.s0, sol.pq, sol.lq)
-    probes = _symmetry_probes(args, pf)
+    sq = transport(prob.s0, sol.pq, sol.lq)
+    probes = _symmetry_probes(args, prob)
     r3 = symmetry3_residual(sq, sol.pq)
     exact = tensor_vanishes(r3)  # then r3 maps every element to zero, Lq included
     r3_zero = exact or probes_vanish(r3, probes)
     r2_zero = exact or apply_series(r3, sol.lq).is_zero()  # the symmetry2 residual, reusing r3
-    carried = transported_solution_check(pf.s0, prob, sol, sq)
+    carried = transported_solution_check(prob.s0, prob, sol, sq)
     ok = r3_zero and r2_zero and carried
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         doc = {
             "schema": "qlax/symmetry-report/1",
             "pass": ok,
@@ -191,10 +182,9 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    pf = load_problem_file(args.problem, default_n=args.qorder)
-    if pf.backend != "matrix":
+    prob = load_problem_file(args.problem, default_n=args.qorder)
+    if prob.backend != "matrix":
         raise ProblemFileError("backend", "the convergence study needs the matrix backend")
-    prob = pf.lax_problem()
     ref_n = min(prob.n + 6, MAX_ORDER) if args.refN is None else args.refN
     if args.refN is None and ref_n < prob.n + 2:
         raise ProblemFileError("N", f"must be at most {MAX_ORDER - 2} for the convergence study, got {prob.n}")
@@ -203,7 +193,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         report = convergence_study(prob, qs, ref_n)
     except ValueError as e:
         raise QlaxError(f"refN: {e}") from e
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         _emit(dumps(convergence_json(report)))
     else:
         lines = [f"N = {report.n}, refN = {report.ref_n}"]
@@ -287,12 +277,11 @@ def _attach_negative_fractions(argv: List[str]) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_fractions(sys.argv[1:] if argv is None else argv))
+    if (env := os.environ.get("QLAX_FORMAT")) in ("json", "text"):
+        args.format = env
     try:
         return args.func(args)
-    except QlaxError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except OSError as e:
+    except (QlaxError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -63,6 +63,16 @@ def _mono_text(exps: bytes) -> str:
     return "*".join([("u" if j == 0 else f"u_{j}") + ("" if e == 1 else f"^{e}") for j, e in enumerate(exps) if e])
 
 
+def signed_sum(terms: Iterable[Tuple[bool, str]]) -> str:
+    """(negative, unsigned body) pairs as one sum, e.g. ``-a + b - c``:
+    the first term keeps a bare minus, each later one gets `` + `` or `` - ``;
+    no terms is ``0``."""
+    text = "".join((" - " if negative else " + ") + body for negative, body in terms)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def _reduced(nums: dict, den: int) -> "DiffPoly":
     # nums holds no zero; divide out the common factor with den.
     if den != 1:
@@ -245,11 +255,9 @@ class DiffPoly:
 
     def text(self) -> str:
         """Canonical rendering, e.g. ``6*u*u_1 - u_3``; reparses to self."""
-        if not self.nums:
-            return "0"
         chunks = []
         den = self.den
-        for i, (exps, c) in enumerate(self._graded()):
+        for exps, c in self._graded():
             a = abs(c)
             g = gcd(a, den)
             mag = str(a // g) if g == den else f"{a // g}/{den // g}"
@@ -259,11 +267,8 @@ class DiffPoly:
                 body = _mono_text(exps)
             else:
                 body = f"{mag}*{_mono_text(exps)}"
-            if i == 0:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(chunks)
+            chunks.append((c < 0, body))
+        return signed_sum(chunks)
 
     def to_json(self) -> str:
         return self.text()

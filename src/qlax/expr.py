@@ -34,17 +34,20 @@ import sys
 from fractions import Fraction
 from typing import List, NoReturn, Tuple
 
-from .diffpoly import MAX_JET, DiffPoly
+from .diffpoly import MAX_JET, DiffPoly, signed_sum
 from .errors import ParseError, UnboundIdentifier
 from .psdo import PsdoSymbol, compose
 
 
 # -- tokens ------------------------------------------------------------
 
-# One alternative per lexeme, in order: ASCII digits, a word (not starting
-# with an ASCII digit or "_"), punctuation, line break, space, anything else.
-_LEXEME = re.compile(r"(?P<int>[0-9]+)|(?P<word>[^\W0-9_]\w*)|(?P<punct>[-+*^()/])"
-                     r"|(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<other>.)")
+# Blanks other than a line break, then one alternative per lexeme, in order:
+# ASCII digits, a word (not starting with an ASCII digit or "_"),
+# punctuation, line break, any other visible character (an error), or the
+# end of the text, so that blanks at the end are one match and not retried
+# from each position.
+_LEXEME = re.compile(r"[^\S\n]*(?:(?P<int>[0-9]+)|(?P<word>[^\W0-9_]\w*)|(?P<punct>[-+*^()/])"
+                     r"|(?P<newline>\n)|(?P<other>\S)|\Z)")
 _JET = re.compile(r"u(?:_([0-9]+))?")
 
 
@@ -60,7 +63,9 @@ def _tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
     line, line_start = 1, 0
     for m in _LEXEME.finditer(source):
-        kind, text, column = m.lastgroup, m[0], m.start() - line_start + 1
+        if not (kind := m.lastgroup):  # the end of the text
+            break
+        text, column = m[kind], m.start(kind) - line_start + 1
         jet = kind == "word" and _JET.fullmatch(text)
         digits = jet[1] if jet else m["int"]
         if digits and len(digits) > sys.get_int_max_str_digits() > 0:  # then int() raises; 0 is no limit
@@ -75,7 +80,7 @@ def _tokenize(source: str) -> List[Token]:
             tokens.append(Token("jet", jet[1] or "0", line, column))
         elif kind == "word" and text != "d":
             raise UnboundIdentifier(f"unknown identifier {text!r}", line, column)
-        elif kind != "space":
+        else:
             tokens.append(Token("int" if kind == "int" else text, text, line, column))
     tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
@@ -284,23 +289,6 @@ def _coeff_chunk(dp: DiffPoly, dpow: str) -> Tuple[bool, str]:
 def render_operator(sym: PsdoSymbol) -> str:
     """Deterministic text for a symbol, reparsable when the symbol is an
     exact differential operator."""
-    if not sym.terms:
-        return "0"
     if len(sym.terms) == 1 and sym.terms[0][0] == 0:
         return sym.terms[0][1].text()
-    chunks = []
-    for k, dp in sym.terms:
-        if k == 1:
-            dpow = "d"
-        elif k != 0:
-            dpow = f"d^{k}"
-        else:
-            dpow = ""
-        chunks.append(_coeff_chunk(dp, dpow))
-    out = []
-    for i, (negative, body) in enumerate(chunks):
-        if i == 0:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f" - {body}" if negative else f" + {body}")
-    return "".join(out)
+    return signed_sum(_coeff_chunk(dp, "d" if k == 1 else f"d^{k}" if k else "") for k, dp in sym.terms)

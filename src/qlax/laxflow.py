@@ -63,7 +63,9 @@ from .qseries import QSeries
 # shipped problems or the benchmark use (the largest is 16), and still cheap
 # on matrices (a 3x3 degree-1 lax-solve at N = 256 takes about 0.4 s on a
 # 2-vCPU host), while a huge N is rejected before anything is allocated
-# instead of hanging or running out of memory.
+# instead of hanging or running out of memory.  This bounds matrices only:
+# a symbol flow such as KdV roughly doubles its work with each q-order, so
+# a psdo problem well below this N can still run for hours.
 MAX_ORDER = 256
 
 

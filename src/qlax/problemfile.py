@@ -42,19 +42,12 @@ _PROBES_KEYS = ("schema", "probes")
 
 
 @dataclass(frozen=True)
-class ProblemFile:
-    backend: str
-    alg: Algebra
-    l0: Any
-    p: TPoly
-    n: int
-    s0: Optional[BiOp]
+class ProblemFile(LaxProblem):
+    """The problem to solve, with its backend's name and the initial
+    symmetry ``S0`` (None when the file has none)."""
 
-    def lax_problem(self) -> LaxProblem:
-        try:
-            return LaxProblem(p=self.p, l0=self.l0, n=self.n)
-        except ValueError as e:
-            raise ProblemFileError("P", str(e)) from e
+    backend: str
+    s0: Optional[BiOp]
 
 
 def _entry_value(backend: str, raw: Any, field: str, parsed: dict, alg: Optional[Algebra] = None) -> Any:
@@ -95,7 +88,8 @@ def _check_header(doc: dict, schema: str, keys: tuple) -> None:
 
 
 def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
-    """Validate and elaborate a problem document."""
+    """Validate and elaborate a problem document, the ``LaxProblem`` itself
+    included: every field is checked before the caller sees the problem."""
     if not isinstance(doc, dict):
         raise ProblemFileError("$", "problem file must be a JSON object")
     _check_header(doc, PROBLEM_SCHEMA, _PROBLEM_KEYS)
@@ -115,8 +109,6 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
     raw_p = doc.get("P")
     if not isinstance(raw_p, list) or not raw_p:
         raise ProblemFileError("P", "must be a nonempty list of [t-degree, entry] pairs")
-    seen = set()
-    top = -1
     by_degree = {}
     for item in raw_p:
         if not isinstance(item, list) or len(item) != 2:
@@ -126,12 +118,10 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
             raise ProblemFileError("P", f"t-degree must be an integer, got {degree!r}")
         if degree < 0:
             raise ProblemFileError("P", f"negative t-degree {degree}")
-        if degree in seen:
+        if degree in by_degree:
             raise ProblemFileError("P", f"duplicate t-degree {degree}")
-        seen.add(degree)
         by_degree[degree] = _entry_value(backend, raw_entry, "P", parsed, alg)
-        top = max(top, degree)
-    coeffs = [by_degree.get(k, alg.zero) for k in range(top + 1)]
+    coeffs = [by_degree.get(k, alg.zero) for k in range(max(by_degree) + 1)]
     p = TPoly.of(alg, coeffs)
 
     n = doc.get("N", default_n)
@@ -157,7 +147,10 @@ def load_problem(doc: dict, default_n: Optional[int] = None) -> ProblemFile:
         else:
             raise ProblemFileError("S0", "must be \"identity\" or a list of [left, right] pairs")
 
-    return ProblemFile(backend=backend, alg=alg, l0=l0, p=p, n=n, s0=s0)
+    try:
+        return ProblemFile(p=p, l0=l0, n=n, backend=backend, s0=s0)
+    except ValueError as e:  # deg_t(P) > N - 1
+        raise ProblemFileError("P", str(e)) from e
 
 
 def _read_json(path: str, field: str) -> Any:

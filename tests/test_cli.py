@@ -413,6 +413,22 @@ def test_problem_file_validation_messages(tmp_path, capsys):
         assert field in err
 
 
+def test_p_past_the_truncation_is_a_load_error(tmp_path, capsys):
+    # deg_t(P) <= N - 1 is checked while the file loads, before a command
+    # looks at S0 or the backend, so the P error comes first for every command
+    doc = json.loads((PROBLEMS / "matrix_symmetry_n3.json").read_text())
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({**doc, "N": 1}))  # deg_t P = 1 = N
+    two_faults = tmp_path / "two_faults.json"  # no S0, psdo backend, and deg_t P = 3 > N - 1
+    two_faults.write_text('{"backend": "psdo", "L0": "-d^2 + u", "P": [[0, "d"], [3, "u"]], "N": 2}')
+    for path, degree, n in ((deep, 1, 1), (two_faults, 3, 2)):
+        for command in ("lax-solve", "symmetry", "convergence"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, ""), (command, path)
+            assert err.startswith(f"error: field 'P': deg_t(P) = {degree} exceeds n - 1 = {n - 1}; ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_problem_file_parses_each_text_once(monkeypatch):
     # the memo lives for one load: a side equal to L0 is L0's own value, and
     # a text that fails names the first field it appears in
@@ -735,7 +751,7 @@ def test_symmetry_unit_probes_catch_what_the_problem_probes_miss(monkeypatch, ca
     trace_map = BiOp.of(pf.alg, [(e00, e00), (e01, e10)])
     real = symops.symmetry3_residual
     bumped = lambda sq, pq: real(sq, pq) + QSeries.term(BiOpAlgebra(pf.alg), pq.trunc, trace_map, 1)
-    sol = cli.lax_solve(pf.lax_problem())
+    sol = cli.lax_solve(pf)
     r3 = bumped(symops.transport(pf.s0, sol.pq, sol.lq), sol.pq)
     assert not r3.coeffs[1].tensor_is_zero()
     assert residual_vanishes(r3, [pf.l0, *pf.p.coeffs]) and not residual_vanishes(r3, units)
@@ -891,6 +907,11 @@ def test_env_var_overrides_format(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
+    monkeypatch.setenv("QLAX_FORMAT", "xml")  # neither json nor text: ignored
+    code, out, _ = run(capsys, "kdv-verify", "--format", "json")
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out, _ = run(capsys, "kdv-verify")
+    assert (code, out.splitlines()[-1]) == (0, "PASS: [P, L] equals the flow right-hand side exactly")
 
 
 def test_consecutive_calls_share_no_state(capsys):

@@ -120,6 +120,19 @@ def test_lexer_matches_the_character_loop_on_ascii(text):
     assert lexed(_tokenize, text) == lexed(tokenize_by_characters, text)
 
 
+def test_long_blank_runs_lex_quickly():
+    # blanks at the end of the text are one match, not retried from each position
+    import time
+    from qlax.expr import _tokenize
+
+    blanks = " \t" * 25_000
+    for text in (f"u{blanks}", f"u{blanks}\n", f"{blanks}u", f"u{blanks}!"):
+        start = time.monotonic()
+        tokens = lexed(_tokenize, text)
+        assert time.monotonic() - start < 1.0, repr(text[-3:])
+        assert tokens == lexed(tokenize_by_characters, text)
+
+
 def test_digits_are_ascii_and_bounded():
     # a non-ASCII digit starts a word that names no identifier, and a digit
     # run that int() would refuse is an error at its token
