@@ -20,7 +20,7 @@ from .errors import (
     UnboundIdentifier,
     ValuationError,
 )
-from .expr import parse_diffpoly, parse_operator, render_operator
+from .expr import parse_diffpoly, parse_operator
 from .laxflow import (
     LaxProblem,
     LaxSolution,
@@ -108,7 +108,6 @@ __all__ = [
     "parse_diffpoly",
     "parse_operator",
     "rational",
-    "render_operator",
     "residual_vanishes",
     "symmetry3_residual",
     "texp",

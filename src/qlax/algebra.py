@@ -111,14 +111,6 @@ class Algebra(ABC):
         raise TypeError(f"no default probe set for {type(self).__name__}")
 
 
-def algebra_of(x: Any) -> Algebra:
-    """Recover the algebra descriptor an element belongs to."""
-    algebra = getattr(x, "algebra", None)
-    if algebra is None:
-        raise TypeError(f"{type(x).__name__} does not expose its algebra")
-    return algebra()
-
-
 @dataclass(frozen=True)
 class TPoly:
     """Polynomial in the time variable t with coefficients in ``alg``.

@@ -54,6 +54,15 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _verdict(checks) -> bool:
+    """Whether every (name, passed) check passed; the failed ones are named
+    on one stderr line."""
+    failed = [name for name, passed in checks if not passed]
+    if failed:
+        sys.stderr.write(f"failed check: {', '.join(failed)}\n")
+    return not failed
+
+
 def cmd_commutator(args: argparse.Namespace) -> int:
     a = expr.parse_operator(args.a)
     b = expr.parse_operator(args.b)
@@ -61,7 +70,7 @@ def cmd_commutator(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(dumps({"schema": "qlax/commutator/1", "commutator": json_value(result)}))
     else:
-        _emit(f"[{args.a}, {args.b}] = {expr.render_operator(result)}")
+        _emit(f"[{args.a}, {args.b}] = {result}")
     return 0
 
 
@@ -84,15 +93,15 @@ def cmd_kdv_verify(args: argparse.Namespace) -> int:
         _emit(dumps(doc))
     else:
         lines = [
-            f"L = {expr.render_operator(l_op)}",
-            f"P = {expr.render_operator(p_op)}",
-            f"[P, L] = {expr.render_operator(bracket)}",
-            f"expected = {expr.render_operator(expected)}",
+            f"L = {l_op}",
+            f"P = {p_op}",
+            f"[P, L] = {bracket}",
+            f"expected = {expected}",
         ]
         if ok:
             lines.append(f"{PASS}: [P, L] equals the flow right-hand side exactly")
         else:
-            lines.append(f"difference = {expr.render_operator(difference)}")
+            lines.append(f"difference = {difference}")
             lines.append(f"{FAIL}: [P, L] does not match")
         _emit("\n".join(lines))
     return 0 if ok else 1
@@ -105,15 +114,12 @@ def cmd_lax_solve(args: argparse.Namespace) -> int:
     # the flows are unique, they pin both printed series.
     defect = first_defect(sol.lq, sol.pq, True)
     where = "" if defect is None else " (first nonzero at q^%d, t^%d)" % (defect, defect - 1)
-    failed = [name for name, passed in (
+    ok = _verdict((
         ("dLq/dt = [Pq, Lq]" + where, defect is None),
         ("Lq(0) = L0", sol.lq.coeffs[0] == prob.l0),
         ("W(0) = 1", sol.w.coeffs[0] == prob.alg.one),
         ("dW/dt = Pq*W", first_defect(sol.w, sol.pq, False) is None),
-    ) if not passed]
-    if failed:
-        sys.stderr.write(f"failed check: {', '.join(failed)}\n")
-    ok = not failed
+    ))
     if args.format == "json":
         # the residual is built for its per-order norms only when the check failed
         residual = QSeries.zero(prob.alg, prob.n) if defect is None else lax_residual(sol.lq, sol.pq)
@@ -159,7 +165,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     r3_zero = exact or probes_vanish(r3, probes)
     r2_zero = exact or apply_series(r3, sol.lq).is_zero()  # the symmetry2 residual, reusing r3
     carried = transported_solution_check(prob.s0, prob, sol, sq)
-    ok = r3_zero and r2_zero and carried
+    ok = _verdict((("symmetry3 residual", r3_zero), ("symmetry2 residual", r2_zero), ("transported solution", carried)))
     if args.format == "json":
         doc = {
             "schema": "qlax/symmetry-report/1",

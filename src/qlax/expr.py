@@ -1,4 +1,4 @@
-"""The operator expression DSL: parsing, elaboration, rendering.
+"""The operator expression DSL: parsing and elaboration.
 
 Grammar (EBNF):
 
@@ -21,9 +21,6 @@ The parser elaborates as it goes, into a symbol or into a plain
 differential polynomial (used for coefficients), where ``d`` is rejected
 as unbound.  Sums and products are parsed by loops, so a long flat sum
 does not recurse; only nesting depth is limited.
-
-``render_operator`` produces text that reparses to an equal symbol while its
-powers stay within MAX_POWER, e.g. ``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
 """
 
 from __future__ import annotations
@@ -32,9 +29,9 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import List, NoReturn, Tuple
+from typing import List, NoReturn
 
-from .diffpoly import MAX_JET, DiffPoly, signed_sum
+from .diffpoly import MAX_JET, DiffPoly
 from .errors import ParseError, UnboundIdentifier
 from .psdo import PsdoSymbol, compose
 
@@ -271,24 +268,3 @@ def _elaborate(text: str, target: tuple):
         return _Parser(tokens, target).parse()
     except RecursionError:
         raise ParseError("expression nested too deeply", 1, 1) from None
-
-
-# -- rendering -------------------------------------------------------------
-
-def _coeff_chunk(dp: DiffPoly, dpow: str) -> Tuple[bool, str]:
-    # Returns (negative, body) for one symbol order; body has no sign.
-    if len(dp.nums) != 1:
-        return False, f"({dp.text()})*{dpow}" if dpow else f"({dp.text()})"
-    negative = next(iter(dp.nums.values())) < 0
-    body = (-dp if negative else dp).text()
-    if not dpow:
-        return negative, body
-    return negative, dpow if body == "1" else f"{body}*{dpow}"
-
-
-def render_operator(sym: PsdoSymbol) -> str:
-    """Deterministic text for a symbol, reparsable when the symbol is an
-    exact differential operator."""
-    if len(sym.terms) == 1 and sym.terms[0][0] == 0:
-        return sym.terms[0][1].text()
-    return signed_sum(_coeff_chunk(dp, "d" if k == 1 else f"d^{k}" if k else "") for k, dp in sym.terms)

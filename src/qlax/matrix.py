@@ -90,9 +90,6 @@ class RatMatrix:
     def zeros(n: int) -> "RatMatrix":
         return RatMatrix(tuple((0,) * n for _ in range(n)))
 
-    def algebra(self) -> "MatrixAlgebra":
-        return MatrixAlgebra(self.n)
-
     @property
     def n(self) -> int:
         return len(self.num)

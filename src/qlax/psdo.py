@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra, rational
-from .diffpoly import DiffPoly, check_degree
+from .diffpoly import DiffPoly, check_degree, signed_sum
 from .errors import PrecisionExhausted
 
 
@@ -80,9 +80,6 @@ class PsdoSymbol:
     def from_dp(dp: DiffPoly) -> "PsdoSymbol":
         """A multiplication operator (order 0)."""
         return PsdoSymbol(((0, dp),) if not dp.is_zero() else (), None)
-
-    def algebra(self) -> "PsdoAlgebra":
-        return PsdoAlgebra()
 
     # -- structure ----------------------------------------------------
 
@@ -171,15 +168,29 @@ class PsdoSymbol:
     # -- text / JSON ----------------------------------------------------
 
     def __str__(self) -> str:
-        from . import expr
-
-        return expr.render_operator(self)
+        """Deterministic DSL text, e.g. ``-d^2 + u`` or ``(6*u*u_1 - u_3)*d^2``.
+        For an exact differential operator it reparses to an equal symbol
+        while its powers stay within ``expr.MAX_POWER``."""
+        if len(self.terms) == 1 and self.terms[0][0] == 0:
+            return self.terms[0][1].text()
+        return signed_sum(_coeff_chunk(dp, "d" if k == 1 else f"d^{k}" if k else "") for k, dp in self.terms)
 
     def to_json(self) -> dict:
         return {
             "terms": [{"order": k, "coeff": dp.text()} for k, dp in self.terms],
             "floor": "exact" if self.floor is None else self.floor,
         }
+
+
+def _coeff_chunk(dp: DiffPoly, dpow: str) -> Tuple[bool, str]:
+    # Returns (negative, body) for one symbol order; body has no sign.
+    if len(dp.nums) != 1:
+        return False, f"({dp.text()})*{dpow}" if dpow else f"({dp.text()})"
+    negative = next(iter(dp.nums.values())) < 0
+    body = (-dp if negative else dp).text()
+    if not dpow:
+        return negative, body
+    return negative, dpow if body == "1" else f"{body}*{dpow}"
 
 
 _PS_ZERO = PsdoSymbol((), None)

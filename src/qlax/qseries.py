@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from .algebra import Algebra, convolution, holes, nonzero, rational
 from .errors import TruncationMismatch, ValuationError
@@ -121,9 +121,10 @@ class QSeries:
             raise ValueError(f"cannot extend truncation {self.trunc} to {m}")
         return QSeries(self.alg, self.coeffs[: m + 1])
 
-    def map_coeffs(self, f: Callable[[Any], Any], alg: Optional[Algebra] = None) -> "QSeries":
-        """Apply f to every coefficient (same truncation order)."""
-        return QSeries(alg or self.alg, tuple(f(c) for c in self.coeffs))
+    def map_coeffs(self, f: Callable[[Any], Any], alg: Algebra) -> "QSeries":
+        """Apply f to every coefficient, giving a series over ``alg`` (same
+        truncation order)."""
+        return QSeries(alg, tuple(f(c) for c in self.coeffs))
 
     # -- ring operations ----------------------------------------------
 

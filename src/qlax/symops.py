@@ -52,7 +52,7 @@ from functools import cached_property
 from math import lcm
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from .algebra import Algebra, algebra_of, convolution, holes, nonzero, rational
+from .algebra import Algebra, convolution, holes, nonzero, rational
 from .laxflow import LaxProblem, LaxSolution, first_defect, flow, lax_residual, texp
 from .qseries import QSeries
 
@@ -75,9 +75,6 @@ class BiOp:
     @staticmethod
     def zero(alg: Algebra) -> "BiOp":
         return BiOp(alg, ())
-
-    def algebra(self) -> "BiOpAlgebra":
-        return BiOpAlgebra(self.alg)
 
     # -- the action -----------------------------------------------------
 
@@ -182,9 +179,8 @@ class BiOpAlgebra(Algebra):
         return BiOp.identity(self.base)
 
 
-def ad(p: Any, alg: Optional[Algebra] = None) -> BiOp:
-    """The inner derivation X -> p*X - X*p as a two-term BiOp."""
-    alg = alg or algebra_of(p)
+def ad(p: Any, alg: Algebra) -> BiOp:
+    """The inner derivation X -> p*X - X*p on ``alg`` as a two-term BiOp."""
     return BiOp.of(alg, ((p, alg.one), (-alg.one, p)))
 
 
@@ -192,7 +188,7 @@ def lift_ad(pq: QSeries) -> QSeries:
     """Map every coefficient of a q-series over A to its inner derivation,
     giving a q-series of BiOps of the same weight."""
     base, balg = pq.alg, BiOpAlgebra(pq.alg)
-    return pq.map_coeffs(lambda c: balg.zero if c.is_zero() else ad(c, base), alg=balg)
+    return pq.map_coeffs(lambda c: balg.zero if c.is_zero() else ad(c, base), balg)
 
 
 def exp_ad(pq: QSeries) -> QSeries:
@@ -248,7 +244,7 @@ def apply_series(sq: QSeries, xq: QSeries) -> QSeries:
 
 def apply_to_probe(sq: QSeries, x: Any) -> QSeries:
     """Apply every BiOp coefficient of a q-series to a fixed probe."""
-    return sq.map_coeffs(lambda bop: bop.apply(x), alg=sq.alg.base)
+    return sq.map_coeffs(lambda bop: bop.apply(x), sq.alg.base)
 
 
 def tensor_vanishes(residual: QSeries) -> bool:

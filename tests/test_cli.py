@@ -276,21 +276,26 @@ DOT_FAULTS = (bracket_swapped, product_swapped, last_pair_dropped, divisor_ignor
 
 def assert_faults_change_nothing_silently(monkeypatch, capsys, command, paths):
     # under each fault installed for the whole command, a changed stdout
-    # must come with exit 1; exit 2 and a crash fail too.  Returns the exit
-    # codes by file name, in the order of DOT_FAULTS
+    # must come with exit 1; exit 2 and a crash fail too.  Exit 1 names the
+    # failed checks on one stderr line, and exit 0 writes nothing there.
+    # Returns the exit codes by file name, in the order of DOT_FAULTS
     from qlax import PsdoSymbol, RatMatrix
 
     codes = {}
     for path in paths:
         clean = run(capsys, command, str(path))
-        assert clean[0] == 0, path.name
+        assert clean[0] == 0 and clean[2] == "", path.name
         for fault in DOT_FAULTS:
             with monkeypatch.context() as m:
                 for cls in (RatMatrix, PsdoSymbol):
                     m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
-                code, out, _ = run(capsys, command, str(path))
+                code, out, err = run(capsys, command, str(path))
             assert code in (0, 1), (path.name, fault.__name__)
             assert code == 1 or out == clean[1], (path.name, fault.__name__)
+            if code:
+                assert err.startswith("failed check: ") and err.count("\n") == 1 and err.endswith("\n"), (path.name, err)
+            else:
+                assert err == "", (path.name, fault.__name__)
             codes.setdefault(path.name, []).append(code)
     return codes
 

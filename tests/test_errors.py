@@ -5,7 +5,6 @@ import pytest
 from qlax import (
     DiffPoly,
     MatrixAlgebra,
-    PsdoAlgebra,
     QSeries,
     RatMatrix,
     TPoly,
@@ -13,8 +12,7 @@ from qlax import (
     deform,
     lax_residual,
 )
-from qlax.algebra import algebra_of
-from qlax.symops import BiOp, BiOpAlgebra, apply_series
+from qlax.symops import BiOpAlgebra, apply_series
 
 M2 = MatrixAlgebra(2)
 
@@ -49,14 +47,6 @@ def test_matrix_of_rejects_non_square():
 def test_jet_index_must_be_nonnegative():
     with pytest.raises(ValueError):
         DiffPoly.u(-1)
-
-
-def test_algebra_of_dispatch():
-    assert algebra_of(M2.one) == M2
-    assert algebra_of(BiOp.identity(M2)) == BiOpAlgebra(M2)
-    assert algebra_of(PsdoAlgebra().one) == PsdoAlgebra()
-    with pytest.raises(TypeError):
-        algebra_of("not an element")
 
 
 def test_series_mismatch_surfaces_in_flows():

@@ -1,5 +1,6 @@
-"""The generic kernel modules import no backend and no DSL, and powers of
-t appear only at the rendering boundary."""
+"""The generic kernel modules import no backend and no DSL, symbols and
+their coefficients import no DSL, every import is at module level, and
+powers of t appear only at the rendering boundary."""
 
 import ast
 from pathlib import Path
@@ -14,11 +15,10 @@ def source(name: str) -> str:
     return (Path(qlax.__file__).parent / f"{name}.py").read_text()
 
 
-def imported_modules(name: str) -> set:
-    """Every qlax module ``name`` imports, at the top level or inside a function."""
-    tree = ast.parse(source(name))
+def imported_modules(text: str) -> set:
+    """Every qlax module a source text imports, at the top level or inside a function."""
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1 and node.module is None:  # from . import x
                 found.update(alias.name for alias in node.names)
@@ -29,12 +29,42 @@ def imported_modules(name: str) -> set:
     return found
 
 
-def test_kernel_imports_no_backend():
-    # psdo imports diffpoly at the top and expr inside a method: the scan sees both.
-    assert {"diffpoly", "expr"} <= imported_modules("psdo")
-    for name in KERNEL:
-        assert not imported_modules(name) & BACKENDS, name
+def function_level_imports(text: str) -> set:
+    """Every import statement inside a function, method or lambda of a
+    source text, as source."""
+    return {
+        ast.unparse(node)
+        for scope in ast.walk(ast.parse(text))
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
 
+
+def test_scanners_see_imports_inside_methods():
+    # the rules below could pass only because a scanner went blind
+    text = "import os\n\nclass Symbol:\n    def __str__(self):\n        from . import expr\n        return expr.text(self)\n"
+    assert function_level_imports(text) == {"from . import expr"}
+    assert imported_modules(text) == {"expr"}
+
+
+def test_kernel_imports_no_backend():
+    # the scan sees a top-level import
+    assert "diffpoly" in imported_modules(source("psdo"))
+    for name in KERNEL:
+        assert not imported_modules(source(name)) & BACKENDS, name
+
+
+def test_no_module_imports_inside_a_function():
+    # every import is at the top of its module, where the layering reads it
+    for path in Path(qlax.__file__).parent.glob("*.py"):
+        assert not function_level_imports(path.read_text()), path.stem
+
+
+def test_symbols_and_their_coefficients_import_no_parser():
+    # the DSL parser builds symbols; a symbol prints itself without it
+    for name in ("psdo", "diffpoly"):
+        assert "expr" not in imported_modules(source(name)), name
 
 
 def test_kernel_series_hold_no_t_polynomials():

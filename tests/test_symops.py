@@ -73,7 +73,7 @@ def test_apply_examples():
     x = RatMatrix.of([[1, 2], [3, 4]])
     p = RatMatrix.of([[0, 1], [1, 0]])
     assert BiOp.identity(M2).apply(x) == x
-    assert ad(p).apply(x) == p * x - x * p
+    assert ad(p, M2).apply(x) == p * x - x * p
     a, b = RatMatrix.of([[1, 1], [0, 1]]), RatMatrix.of([[2, 0], [0, 1]])
     assert BiOp.of(M2, [(a, b)]).apply(M2.one) == a * b
 
@@ -133,17 +133,17 @@ def test_action_matches_the_pairwise_reference(case):
 
 def test_ad_examples():
     p = RatMatrix.of([[1, 2], [0, -1]])
-    assert ad(M2.zero).is_zero()
-    assert ad(p).apply(p) == M2.zero
+    assert ad(M2.zero, M2).is_zero()
+    assert ad(p, M2).apply(p) == M2.zero
     l_op, p_op = kdv_pair()
     from qlax import parse_diffpoly
 
-    assert ad(p_op).apply(l_op) == PsdoSymbol.from_dp(parse_diffpoly("6*u*u_1 - u_3"))
+    assert ad(p_op, PsdoAlgebra()).apply(l_op) == PsdoSymbol.from_dp(parse_diffpoly("6*u*u_1 - u_3"))
 
 
 def test_ad_of_identity_simplifies_to_zero():
-    assert ad(PsdoSymbol.one()).is_zero()
-    assert ad(M2.one).is_zero()
+    assert ad(PsdoSymbol.one(), PsdoAlgebra()).is_zero()
+    assert ad(M2.one, M2).is_zero()
 
 
 def test_simplification_merges_shared_factors():
@@ -176,8 +176,8 @@ def test_ad_is_a_lie_homomorphism():
     for _ in range(10):
         p = mat_random(2, next(stream), 3)
         r = mat_random(2, next(stream), 3)
-        lhs = ad(p * r - r * p)
-        rhs = ad(p) * ad(r) - ad(r) * ad(p)
+        lhs = ad(p * r - r * p, M2)
+        rhs = ad(p, M2) * ad(r, M2) - ad(r, M2) * ad(p, M2)
         assert extensionally_equal(lhs, rhs, UNITS2)
 
 
@@ -215,7 +215,7 @@ def test_ad_is_a_derivation():
         p = mat_random(2, next(stream), 3)
         x = mat_random(2, next(stream), 3)
         y = mat_random(2, next(stream), 3)
-        assert ad(p).apply(x * y) == ad(p).apply(x) * y + x * ad(p).apply(y)
+        assert ad(p, M2).apply(x * y) == ad(p, M2).apply(x) * y + x * ad(p, M2).apply(y)
 
 
 # -- exp_ad ---------------------------------------------------------------------
@@ -265,7 +265,7 @@ def test_transport_identity_is_constant():
 def test_transport_of_ad_l0_solves_symmetry_equation():
     prob = rand_problem(3, n=3, nn=2)
     pq = deform(prob.p, prob.n)
-    sq = transport(ad(prob.l0), pq)
+    sq = transport(ad(prob.l0, prob.alg), pq)
     assert residual_vanishes(symmetry3_residual(sq, pq), UNITS2)
 
 
@@ -583,7 +583,7 @@ def test_transported_solution_kdv():
     l_op, p_op = kdv_pair()
     palg = PsdoAlgebra()
     prob = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=2)
-    degenerate = ad(PsdoSymbol.one()) + BiOp.identity(palg)
+    degenerate = ad(PsdoSymbol.one(), palg) + BiOp.identity(palg)
     assert extensionally_equal(degenerate, BiOp.identity(palg), palg.probes())
     assert carries_solutions(degenerate, prob)
     left_mult = BiOp.of(palg, [(l_op, PsdoSymbol.one())])
