@@ -24,10 +24,10 @@ from .expr import parse_diffpoly, parse_operator
 from .laxflow import (
     LaxProblem,
     LaxSolution,
+    defects,
     deform,
     dt_series,
     eval_tq,
-    first_defect,
     integrate_series,
     iterated_integrals,
     lax_residual,
@@ -92,11 +92,11 @@ __all__ = [
     "commutator",
     "compose",
     "convergence_study",
+    "defects",
     "deform",
     "dt_series",
     "eval_tq",
     "exp_ad",
-    "first_defect",
     "integrate_series",
     "iterated_integrals",
     "kdv_pair",

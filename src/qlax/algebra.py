@@ -21,11 +21,12 @@ a positive integer divisor, reducing once at the end.  Every series
 product, bracket, Taylor step and ``BiOp`` action is one ``dot`` call per
 q-order, found through ``type(alg.zero)``, over the pairs that
 ``convolution`` lists.  A matrix or symbol type has a second static
-method, ``dot_equals(pairs, bracket, k, target)``: whether that sum
-(without a divisor) equals k*target.  ``laxflow.first_defect`` checks the
-flow equations with it, and the matrix version compares in plain integers
-and never calls ``dot``, so those checks share no arithmetic with the
-kernel that built the series they check.  The generic container ``BiOp``
+method, ``dot_defect(pairs, bracket, k, target)``: None when that sum
+(without a divisor) equals k*target, else the largest magnitude of
+k*target minus the sum.  ``laxflow.defects`` checks the flow equations
+with it, and the matrix version computes in plain integers and never
+calls ``dot``, so those checks share no arithmetic with the kernel that
+built the series they check.  The generic container ``BiOp``
 works over any such algebra and its values are elements in the same
 sense, so a q-series of BiOps over matrices is one more instance of the
 same contract; a ``QSeries`` has the same ring operations but is never

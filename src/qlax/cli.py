@@ -23,15 +23,15 @@ from typing import List, Optional
 from .algebra import RATIONAL, rational
 from .diffpoly import DiffPoly
 from .errors import ProblemFileError, QlaxError
-from .laxflow import MAX_ORDER, first_defect, lax_residual, lax_solve
+from .laxflow import MAX_ORDER, defects, lax_solve
 from .matrix import convergence_study
 from .psdo import PsdoSymbol, commutator, kdv_pair
 from .problemfile import load_probes, load_problem_file
-from .qseries import QSeries
 from .render import (
     convergence_json,
     convergence_points,
     dumps,
+    first_nonzero,
     json_value,
     residual_report,
     series_lines,
@@ -107,36 +107,40 @@ def cmd_kdv_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _where(norms: dict) -> str:
+    """The label that names where a failed flow check first fails."""
+    first = first_nonzero(norms)
+    return "" if first is None else " (first nonzero at q^%d, t^%d)" % first
+
+
 def cmd_lax_solve(args: argparse.Namespace) -> int:
     prob = load_problem_file(args.problem, default_n=args.qorder)
     sol = lax_solve(prob)
     # Independent of the recurrences, and on matrices of their kernel; as
     # the flows are unique, they pin both printed series.
-    defect = first_defect(sol.lq, sol.pq, True)
-    where = "" if defect is None else " (first nonzero at q^%d, t^%d)" % (defect, defect - 1)
+    lq_defects, w_defects = defects(sol.lq, sol.pq, True), defects(sol.w, sol.pq, False)
+    where = _where(lq_defects)
     ok = _verdict((
-        ("dLq/dt = [Pq, Lq]" + where, defect is None),
+        ("dLq/dt = [Pq, Lq]" + where, not lq_defects),
         ("Lq(0) = L0", sol.lq.coeffs[0] == prob.l0),
         ("W(0) = 1", sol.w.coeffs[0] == prob.alg.one),
-        ("dW/dt = Pq*W", first_defect(sol.w, sol.pq, False) is None),
+        ("dW/dt = Pq*W" + _where(w_defects), not w_defects),
     ))
     if args.format == "json":
-        # the residual is built for its per-order norms only when the check failed
-        residual = QSeries.zero(prob.alg, prob.n) if defect is None else lax_residual(sol.lq, sol.pq)
         doc = {
             "schema": "qlax/laxsolve-report/1",
             "backend": prob.backend,
             "N": prob.n,
             "W": sol.w,
             "Lq": sol.lq,
-            "residual": {**residual_report(residual), "zero": defect is None},
+            "residual": residual_report(lq_defects, prob.n),
         }
         _emit(dumps(doc))
     else:
         lines = [f"backend: {prob.backend}, N = {prob.n}"]
         lines += series_lines("W", sol.w)
         lines += series_lines("Lq", sol.lq)
-        lines.append(f"residual: {'zero (exact)' if defect is None else 'NONZERO' + where}")
+        lines.append(f"residual: {'NONZERO' + where if lq_defects else 'zero (exact)'}")
         lines.append(PASS if ok else FAIL)
         _emit("\n".join(lines))
     return 0 if ok else 1
@@ -194,9 +198,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     ref_n = min(prob.n + 6, MAX_ORDER) if args.refN is None else args.refN
     if args.refN is None and ref_n < prob.n + 2:
         raise ProblemFileError("N", f"must be at most {MAX_ORDER - 2} for the convergence study, got {prob.n}")
-    qs = [rational(q) for q in (args.q or ["1/8", "1/16"])]
     try:
-        report = convergence_study(prob, qs, ref_n)
+        report = convergence_study(prob, args.q or ["1/8", "1/16"], ref_n)
     except ValueError as e:
         raise QlaxError(f"refN: {e}") from e
     if args.format == "json":

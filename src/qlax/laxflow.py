@@ -32,15 +32,15 @@ W^-1 to check that.  W is also the sum of the iterated integrals a_0 = 1,
 a_i = integral_0^t Pq a_{i-1} (val(a_i) >= i), which ``iterated_integrals``
 keeps as a test reference.
 
-``first_defect`` checks either equation order by order, apart from the
-recurrence: at each q^k it compares k*x_k with the sum of the steps over
-the pairs ``convolution`` lists, with one static ``dot_equals`` of the
-coefficient type, and names the first order where they differ.  On
-matrices that comparison is integer cross-multiplication that never calls
-``dot``, so the check shares no arithmetic with the solver's kernel.
+``defects`` checks either equation order by order, apart from the
+recurrence: at each q^k one static ``dot_defect`` of the coefficient type
+compares k*x_k with the sum of the steps over the pairs ``convolution``
+lists, and each order where they differ maps to the largest magnitude of
+the difference: the verdict, the location and the report's norms.  On
+matrices that is integer cross-multiplication that never calls ``dot``,
+so the check shares no arithmetic with the solver's kernel.
 ``lax_residual`` builds the whole residual dt_series(Lq) - Pq.bracket(Lq)
-through the kernel: the symmetry residual is one, and a failed check
-reports its per-order norms.
+through the kernel; the symmetry residual is one.
 
 Everything here is generic over the coefficient algebra A (matrices,
 operator symbols, or tensor pairs of either).
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, List, Optional
+from typing import Any, Dict, List
 
 from .algebra import Algebra, TPoly, convolution, holes, nonzero, rational
 from .errors import ValuationError
@@ -185,24 +185,22 @@ def lax_residual(lq: QSeries, pq: QSeries) -> QSeries:
     return dt_series(lq) - pq.bracket(lq)
 
 
-def first_defect(x: QSeries, pq: QSeries, bracket: bool) -> Optional[int]:
-    """The first q-order k at which k*x_k differs from the sum of
-    step(pq_i, x_(k-i)), or None when x solves dX/dt = [Pq, X] (``bracket``
-    set) or dX/dt = Pq*X exactly; it raises what ``lax_residual`` raises.
+def defects(x: QSeries, pq: QSeries, bracket: bool) -> Dict[int, Fraction]:
+    """{q-order k: norm} over the orders where k*x_k differs from the sum of
+    step(pq_i, x_(k-i)), the norm being the largest magnitude of that
+    difference; empty exactly when x solves dX/dt = [Pq, X] (``bracket``
+    set) or dX/dt = Pq*X.  It raises what ``lax_residual`` raises.
 
-    One ``dot_equals`` comparison per q-order, stopping at the first that
-    fails.  The target is k*x_k, never a kernel call with divisor k, so a
-    kernel that drops its divisor is caught too."""
+    One ``dot_defect`` per q-order.  The target is k*x_k, never a kernel
+    call with divisor k, so a kernel that drops its divisor is caught too."""
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
     pq._check(x)
-    equals = type(pq.alg.zero).dot_equals
-    path, xs = nonzero(pq.coeffs), holes(x.coeffs)
-    for k, target in enumerate(x.coeffs):
-        pairs = convolution(path, xs, k)
-        if not (equals(pairs, bracket, k, target) if pairs else target.scale(k).is_zero()):
-            return k
-    return None
+    zero = pq.alg.zero
+    defect, path, xs = type(zero).dot_defect, nonzero(pq.coeffs), holes(x.coeffs)
+    # an order with no pairs compares k*x_k with the zero product
+    norms = ((k, defect(convolution(path, xs, k) or [(zero, zero)], bracket, k, c)) for k, c in enumerate(x.coeffs))
+    return {k: norm for k, norm in norms if norm is not None}
 
 
 def eval_tq(s: QSeries, t0: int | Fraction, q0: int | Fraction) -> Any:

@@ -164,13 +164,14 @@ class RatMatrix:
         return _canonical(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows), den * divisor)
 
     @staticmethod
-    def dot_equals(pairs: Sequence[Tuple["RatMatrix", "RatMatrix"]], bracket: bool, k: int, target: "RatMatrix") -> bool:
-        """Whether the sum of a*b (or of [a, b] when ``bracket`` is set) over
-        a nonempty sequence of pairs equals k*target, in plain integers.
+    def dot_defect(pairs: Sequence[Tuple["RatMatrix", "RatMatrix"]], bracket: bool, k: int, target: "RatMatrix") -> Optional[Fraction]:
+        """None when the sum of a*b (or of [a, b] when ``bracket`` is set)
+        over a nonempty sequence of pairs equals k*target, else the largest
+        entry magnitude of k*target minus that sum, in plain integers.
 
         The pairs are laid out in the block form of ``dot`` over the lcm
         ``den`` of the pair denominators, and each entry s/den of the sum is
-        cross-multiplied against t/target.den: s*target.den == k*den*t.
+        cross-multiplied against t/target.den: k*den*t - target.den*s.
         Nothing is reduced, no ``RatMatrix`` is built and ``dot`` is never
         called, so a check made with this shares no arithmetic with the
         kernel that built the series it checks.
@@ -190,9 +191,8 @@ class RatMatrix:
                 right += y.num
         cols = tuple(zip(*right))
         td, kd = target.den, k * den
-        return all(
-            td * sum(map(mul, row, col)) == kd * t for row, trow in zip(rows, target.num) for col, t in zip(cols, trow)
-        )
+        top = max(abs(kd * t - td * sum(map(mul, row, col))) for row, trow in zip(rows, target.num) for col, t in zip(cols, trow))
+        return Fraction(top, td * den) if top else None
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))

@@ -133,12 +133,13 @@ class PsdoSymbol:
         return _sum_of_products(products, floor, int(bracket), divisor)
 
     @staticmethod
-    def dot_equals(pairs: Sequence[Tuple["PsdoSymbol", "PsdoSymbol"]], bracket: bool, k: int, target: "PsdoSymbol") -> bool:
-        """Whether ``dot(pairs, bracket)`` equals k*target.  A sum that
+    def dot_defect(pairs: Sequence[Tuple["PsdoSymbol", "PsdoSymbol"]], bracket: bool, k: int, target: "PsdoSymbol") -> Optional[Fraction]:
+        """None when ``dot(pairs, bracket)`` equals k*target, else the
+        largest coefficient magnitude of their difference.  A sum that
         carries a precision floor equals nothing, as its difference from
         any symbol has unknown orders."""
-        total = PsdoSymbol.dot(pairs, bracket)
-        return total.floor is None and total == target.scale(k)
+        total, goal = PsdoSymbol.dot(pairs, bracket), target.scale(k)
+        return None if total.floor is None and total == goal else (goal - total).max_abs()
 
     def __pow__(self, n: int) -> "PsdoSymbol":
         if n < 0:

@@ -9,14 +9,15 @@ Lq, 1 for residuals; see ``laxflow``): the q^k coefficient stands for
 c_k * t^(k-w), and the reports spell it out as t-coefficients, k-w zeros
 followed by c_k.  No pad list is built: ``dumps`` writes a weight-0 series
 straight to text with the zero's text repeated, and the residual readers
-work from the pairs (k, c_k).
+work from the per-order norms that ``laxflow.defects`` maps.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import QlaxError
 from .qseries import QSeries
@@ -37,29 +38,27 @@ def series_lines(label: str, series: QSeries) -> List[str]:
     return lines
 
 
-def residual_report(residual: QSeries) -> dict:
-    """Per q-order, per t-degree magnitudes of a residual series (weight 1,
-    so no q^0 term): a nonzero c_k at t^(k-1) after k-1 zero norms."""
+def residual_report(defects: Dict[int, Fraction], n: int) -> dict:
+    """Per q-order, per t-degree magnitudes of a residual modulo q^(n+1)
+    from its {q-order: norm} map (``laxflow.defects``).  A residual has
+    weight 1, so its q^k term sits at t^(k-1), after k-1 zero norms."""
     orders = []
-    for k, c in enumerate(residual.coeffs):
-        zero = c.is_zero()
-        norm = "0" if zero else str(c.max_abs())
-        orders.append({"q_order": k, "max_norm": norm, "t_norms": [] if zero else ["0"] * (k - 1) + [norm]})
+    for k in range(n + 1):
+        norm = str(defects[k]) if k in defects else "0"
+        orders.append({"q_order": k, "max_norm": norm, "t_norms": ["0"] * (k - 1) + [norm] if k in defects else []})
     return {
         "schema": "qlax/residual/1",
-        "zero": residual.is_zero(),
+        "zero": not defects,
         "lossy": False,  # kept for the schema: deform never drops a term
         "orders": orders,
     }
 
 
-def first_nonzero(residual: QSeries) -> Optional[Tuple[int, int]]:
-    """The first (q-order, t-degree) where a residual series (weight 1, so
-    no q^0 term) is nonzero, or None when it vanishes."""
-    for k, c in enumerate(residual.coeffs):
-        if not c.is_zero():
-            return k, k - 1
-    return None
+def first_nonzero(defects: Dict[int, Fraction]) -> Optional[Tuple[int, int]]:
+    """The first (q-order, t-degree) where a residual with these defects
+    is nonzero, or None when it vanishes."""
+    k = min(defects, default=None)
+    return None if k is None else (k, k - 1)
 
 
 def _float(x, q, what: str) -> float:

@@ -53,7 +53,7 @@ from math import lcm
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from .algebra import Algebra, convolution, holes, nonzero, rational
-from .laxflow import LaxProblem, LaxSolution, first_defect, flow, lax_residual, texp
+from .laxflow import LaxProblem, LaxSolution, defects, flow, lax_residual, texp
 from .qseries import QSeries
 
 
@@ -143,26 +143,20 @@ class BiOp:
         return BiOp(self.alg, tuple((l.scale(c), r) for l, r in self.terms))
 
 
+def _merge(pairs: Iterable[Tuple[Any, Any]]) -> dict:
+    # Sum the values that share a key, skipping pairs with a zero side.
+    out: dict[Any, Any] = {}
+    for key, value in pairs:
+        if not (key.is_zero() or value.is_zero()):
+            out[key] = out[key] + value if key in out else value
+    return out
+
+
 def _simplify(pairs: Tuple[Tuple[Any, Any], ...]) -> Tuple[Tuple[Any, Any], ...]:
     # Merge pairs sharing a left factor, then pairs sharing a right factor;
     # prune pairs with a zero side.  Purely structural compression: it never
     # changes the denoted map and keeps term lists from ballooning.
-    by_left: dict[Any, Any] = {}
-    for left, right in pairs:
-        if left.is_zero() or right.is_zero():
-            continue
-        if left in by_left:
-            by_left[left] = by_left[left] + right
-        else:
-            by_left[left] = right
-    by_right: dict[Any, Any] = {}
-    for left, right in by_left.items():
-        if right.is_zero():
-            continue
-        if right in by_right:
-            by_right[right] = by_right[right] + left
-        else:
-            by_right[right] = left
+    by_right = _merge((right, left) for left, right in _merge(pairs).items())
     return tuple((left, right) for right, left in by_right.items() if not left.is_zero())
 
 
@@ -276,7 +270,7 @@ def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq:
     the integral from 0 of lower orders), so this says M is the solution
     started at S0(L0), without solving for it.
     """
-    if first_defect(sol.lq, sol.pq, True) is not None or sol.lq.coeffs[0] != prob.l0:
+    if defects(sol.lq, sol.pq, True) or sol.lq.coeffs[0] != prob.l0:
         return False
     mq = apply_series(sq, sol.lq)
-    return first_defect(mq, sol.pq, True) is None and mq.coeffs[0] == s0.apply(prob.l0)
+    return not defects(mq, sol.pq, True) and mq.coeffs[0] == s0.apply(prob.l0)

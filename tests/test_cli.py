@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,7 +169,7 @@ def test_lax_solve_checks_w_apart_from_the_recurrence(monkeypatch, capsys):
                     m.setattr(laxflow, "texp", bumped_texp(k))
                     code, out, err = run(capsys, "lax-solve", path, "--format", fmt)
                 assert code == 1
-                assert err == "failed check: dW/dt = Pq*W\n"
+                assert err == f"failed check: dW/dt = Pq*W (first nonzero at q^{k}, t^{k - 1})\n"
                 if fmt == "text":
                     assert out.splitlines()[:-1] != good.splitlines()[:-1]
                     assert len(out.splitlines()) == len(good.splitlines())
@@ -274,30 +275,41 @@ def divisor_ignored(real):
 DOT_FAULTS = (bracket_swapped, product_swapped, last_pair_dropped, divisor_ignored)
 
 
-def assert_faults_change_nothing_silently(monkeypatch, capsys, command, paths):
+def assert_faults_change_nothing_silently(monkeypatch, capsys, command, paths, *options):
     # under each fault installed for the whole command, a changed stdout
     # must come with exit 1; exit 2 and a crash fail too.  Exit 1 names the
     # failed checks on one stderr line, and exit 0 writes nothing there.
-    # Returns the exit codes by file name, in the order of DOT_FAULTS
+    # Returns the (code, stdout, stderr) runs by file name, in the order of
+    # DOT_FAULTS
     from qlax import PsdoSymbol, RatMatrix
 
-    codes = {}
+    runs = {}
     for path in paths:
-        clean = run(capsys, command, str(path))
+        clean = run(capsys, command, str(path), *options)
         assert clean[0] == 0 and clean[2] == "", path.name
         for fault in DOT_FAULTS:
             with monkeypatch.context() as m:
                 for cls in (RatMatrix, PsdoSymbol):
                     m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
-                code, out, err = run(capsys, command, str(path))
+                code, out, err = run(capsys, command, str(path), *options)
             assert code in (0, 1), (path.name, fault.__name__)
             assert code == 1 or out == clean[1], (path.name, fault.__name__)
             if code:
                 assert err.startswith("failed check: ") and err.count("\n") == 1 and err.endswith("\n"), (path.name, err)
             else:
                 assert err == "", (path.name, fault.__name__)
-            codes.setdefault(path.name, []).append(code)
-    return codes
+            runs.setdefault(path.name, []).append((code, out, err))
+    return runs
+
+
+def first_failing_order(err, check):
+    # the q-order that a failed flow check names on stderr, with its
+    # t-degree one less; None when the check passed
+    if check not in err:
+        return None
+    found = re.search(re.escape(check) + r" \(first nonzero at q\^(\d+), t\^(\d+)\)", err)
+    assert found and int(found[2]) == int(found[1]) - 1, err
+    return int(found[1])
 
 
 def test_symmetry_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
@@ -313,18 +325,35 @@ def test_symmetry_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
 
 def test_matrix_lax_solve_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
     # the matrix checks compare in integers and never call dot, so a fault
-    # that changes W or Lq cannot confirm itself.  KdV stays out: its
-    # check still sums through PsdoSymbol.dot
+    # that changes W or Lq cannot confirm itself, and the JSON norms come
+    # from the same comparison as the verdict.  KdV stays out: its check
+    # still sums through PsdoSymbol.dot
     import random
 
     rng = random.Random(1)
     entries = [[[str(rng.choice((-2, -1, 1, 2))) for _ in range(4)] for _ in range(4)] for _ in range(3)]
     deep = tmp_path / "matrix4x4_n10.json"
     deep.write_text(json.dumps({"backend": "matrix", "L0": entries[0], "P": [[0, entries[1]], [1, entries[2]]], "N": 10}))
-    codes = assert_faults_change_nothing_silently(monkeypatch, capsys, "lax-solve", (PROBLEMS / "matrix3x3_n2.json", deep))
-    # at N = 2 the products of W's recurrence are p_1*1 and p_0*p_0, so a
-    # swapped product leaves W unchanged
-    assert codes == {"matrix3x3_n2.json": [1, 0, 1, 1], "matrix4x4_n10.json": [1, 1, 1, 1]}
+    w_failed = 0
+    for fmt in ("text", "json"):
+        runs = assert_faults_change_nothing_silently(
+            monkeypatch, capsys, "lax-solve", (PROBLEMS / "matrix3x3_n2.json", deep), "--format", fmt
+        )
+        # at N = 2 the products of W's recurrence are p_1*1 and p_0*p_0, so
+        # a swapped product leaves W unchanged
+        codes = {name: [code for code, _, _ in found] for name, found in runs.items()}
+        assert codes == {"matrix3x3_n2.json": [1, 0, 1, 1], "matrix4x4_n10.json": [1, 1, 1, 1]}, fmt
+        for code, out, err in (r for found in runs.values() for r in found):
+            k = first_failing_order(err, "dLq/dt = [Pq, Lq]")
+            w_failed += first_failing_order(err, "dW/dt = Pq*W") is not None
+            if fmt == "json":
+                report = json.loads(out)["residual"]
+                norms = [order["max_norm"] for order in report["orders"]]
+                if k is None:
+                    assert report["zero"] and set(norms) == {"0"}, norms
+                else:
+                    assert not report["zero"] and norms[:k] == ["0"] * k and norms[k] != "0", (k, norms)
+    assert w_failed
 
 
 def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
@@ -349,19 +378,18 @@ def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
                 assert digest(key) == GOLDEN[" ".join(key)]
 
 
-def test_passing_lax_solve_never_builds_the_residual(monkeypatch, tmp_path):
-    # the verdicts come from first_defect; the residual series is built
-    # only to report the norms of a failed check
-    from qlax import cli
+def test_passing_lax_solve_never_builds_the_residual(monkeypatch, capsys, tmp_path):
+    # the verdicts, the failure location and the JSON norms all come from
+    # laxflow.defects: lax-solve builds no residual series, passing or
+    # failing
     from test_golden import DEEP, GOLDEN, ROOT, cases, digest, run_deep
 
     def refuse(*args):
-        raise AssertionError("called on a passing run")
+        raise AssertionError("called by lax-solve")
 
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("QLAX_FORMAT", raising=False)
     monkeypatch.setattr(laxflow, "lax_residual", refuse)
-    monkeypatch.setattr(cli, "lax_residual", refuse)
     solved = 0
     for argv in cases():
         if argv[0] == "lax-solve":
@@ -371,6 +399,18 @@ def test_passing_lax_solve_never_builds_the_residual(monkeypatch, tmp_path):
                 solved += 1
     assert solved == 10
     assert run_deep(tmp_path) == DEEP
+    from qlax import PsdoSymbol, RatMatrix
+
+    failed = 0
+    for name in ("nilpotent2x2_n2.json", "matrix3x3_n2.json", "kdv_n2.json"):
+        for fault, fmt in ((fault, fmt) for fault in DOT_FAULTS for fmt in ("text", "json")):
+            with monkeypatch.context() as m:
+                for cls in (RatMatrix, PsdoSymbol):
+                    m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
+                code = run(capsys, "lax-solve", str(PROBLEMS / name), "--format", fmt)[0]
+            assert code in (0, 1), (name, fault.__name__, fmt)
+            failed += code
+    assert failed
 
 
 def test_lax_solve_rejects_bad_n(tmp_path, capsys):

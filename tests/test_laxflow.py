@@ -13,10 +13,10 @@ from qlax import (
     TPoly,
     ValuationError,
     commutator,
+    defects,
     deform,
     dt_series,
     eval_tq,
-    first_defect,
     iterated_integrals,
     kdv_pair,
     lax_residual,
@@ -233,23 +233,17 @@ def test_lax_solve_command_product_count(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_first_defect_matches_the_residual_series():
-    """first_defect names the first q-order where the residual series of
-    either equation is nonzero, on solutions and with one coefficient
-    bumped at a random order; the old residual expressions are the
-    reference, floors of symbols included."""
+def test_defects_match_the_residual_series():
+    """defects maps each q-order where the residual series of either
+    equation is nonzero to that coefficient's max_abs, on solutions and
+    with one coefficient bumped at a random order; the old residual
+    expressions are the reference, floors of symbols included."""
     import random
 
     from qlax import DiffPoly, PsdoSymbol
-    from qlax.render import first_nonzero
 
-    def residual_order(lq, pq):
-        found = first_nonzero(lax_residual(lq, pq))
-        return None if found is None else found[0]
-
-    def w_order(w, pq):
-        r = dt_series(w) - pq * w
-        return next((k for k, c in enumerate(r.coeffs) if not c.is_zero()), None)
+    def reference(r):
+        return {k: c.max_abs() for k, c in enumerate(r.coeffs) if not c.is_zero()}
 
     rng = random.Random(3)
     cases = []
@@ -266,29 +260,33 @@ def test_first_defect_matches_the_residual_series():
         cases.append((LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=n), kdv_bumps))
         if n > 1:
             cases.append((LaxProblem(p=TPoly.of(palg, [p_op, l_op]), l0=l_op, n=n), kdv_bumps))
+    bumped = 0
     for prob, bumps in cases:
         sol = lax_solve(prob)
         pq, alg = sol.pq, sol.pq.alg
-        assert first_defect(sol.lq, pq, True) is None and residual_order(sol.lq, pq) is None
-        assert first_defect(sol.w, pq, False) is None and w_order(sol.w, pq) is None
+        assert defects(sol.lq, pq, True) == {} == reference(lax_residual(sol.lq, pq))
+        assert defects(sol.w, pq, False) == {} == reference(dt_series(sol.w) - pq * sol.w)
         for bump in bumps:
             k = rng.randrange(prob.n + 1)
             lq = sol.lq + QSeries.term(alg, prob.n, bump, k)
             w = sol.w + QSeries.term(alg, prob.n, bump, k)
-            assert first_defect(lq, pq, True) == residual_order(lq, pq), (prob.n, k)
-            assert first_defect(w, pq, False) == w_order(w, pq), (prob.n, k)
+            found = defects(lq, pq, True)
+            assert found == reference(lax_residual(lq, pq)), (prob.n, k)
+            assert defects(w, pq, False) == reference(dt_series(w) - pq * w), (prob.n, k)
+            bumped += len(found) > 1
+    assert bumped  # a bump below q^N moves later orders too
 
 
-def test_first_defect_raises_what_the_residual_raises():
+def test_defects_raise_what_the_residual_raises():
     from qlax import TruncationMismatch
 
     bad = QSeries.constant(M2, 2, NILP)
     with pytest.raises(ValuationError):
-        first_defect(QSeries.one(M2, 2), bad, True)
+        defects(QSeries.one(M2, 2), bad, True)
     pq = deform(TPoly.const(M2, NILP), 3)
     for bracket in (True, False):
         with pytest.raises(TruncationMismatch):
-            first_defect(QSeries.one(M2, 2), pq, bracket)
+            defects(QSeries.one(M2, 2), pq, bracket)
 
 
 def test_lax_solve_computes_w_only_when_read(monkeypatch):
@@ -437,7 +435,7 @@ def test_residual_report_pins_t_degrees():
     p = TPoly.of(M2, [NILP, RatMatrix.of([[0, 0], [2, 0]]), DIAG])
     sol = lax_solve(LaxProblem(p=p, l0=RatMatrix.of([["1", "1/2"], [3, 0]]), n=3))
     frozen = QSeries.constant(sol.lq.alg, 3, sol.lq.coeffs[0])
-    assert residual_report(lax_residual(frozen, sol.pq)) == {
+    assert residual_report(defects(frozen, sol.pq, True), 3) == {
         "schema": "qlax/residual/1",
         "zero": False,
         "lossy": False,

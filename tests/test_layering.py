@@ -100,17 +100,18 @@ def test_descriptors_leave_arithmetic_to_elements():
     # which the series layer finds through the type of the algebra's zero
     for cls in (qlax.RatMatrix, qlax.PsdoSymbol, qlax.BiOp):
         assert isinstance(vars(cls).get("dot"), staticmethod), cls.__name__
-    # and a backend coefficient type compares such a sum with a multiple of
-    # a target, which is how laxflow.first_defect checks the flow equations
+    # and a backend coefficient type measures how far such a sum is from a
+    # multiple of a target, which is how laxflow.defects checks the flow
+    # equations
     for cls in (qlax.RatMatrix, qlax.PsdoSymbol):
-        assert isinstance(vars(cls).get("dot_equals"), staticmethod), cls.__name__
+        assert isinstance(vars(cls).get("dot_defect"), staticmethod), cls.__name__
 
 
 def test_matrix_comparison_never_calls_the_kernel():
     # the matrix check must share no arithmetic with the kernel it checks
     tree = ast.parse(source("matrix"))
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RatMatrix")
-    method = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "dot_equals")
+    method = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "dot_defect")
     called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
               for node in ast.walk(method) if isinstance(node, ast.Call)}
     assert not called & {"dot", "_canonical", "RatMatrix", "gcd"}, called

@@ -155,6 +155,15 @@ def test_dot_matches_the_pairwise_sum(rows, bracket, divisor):
     # each pair against its negative cancels to the canonical zero
     cancelled = RatMatrix.dot(pairs + [(-a, b) for a, b in pairs], bracket, divisor)
     assert cancelled == RatMatrix.zeros(len(rows[0][0])) and cancelled.den == 1
+    # dot_defect measures k*target minus the same sum without calling dot:
+    # none at the sum itself, divisor*|c| off a multiple c of the identity,
+    # and the sum's largest entry against zero
+    n = len(rows[0][0])
+    assert RatMatrix.dot_defect(pairs, bracket, divisor, got) is None
+    c = Fraction(-3, 7)
+    assert RatMatrix.dot_defect(pairs, bracket, divisor, got + RatMatrix.identity(n).scale(c)) == divisor * abs(c)
+    norm = ref_max_abs(ref_dot(rows, bracket, 1))
+    assert RatMatrix.dot_defect(pairs, bracket, divisor, RatMatrix.zeros(n)) == (norm or None)
 
 
 def test_dot_rejects_mixed_sizes():

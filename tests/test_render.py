@@ -14,7 +14,7 @@ from qlax import (
     QSeries,
     RatMatrix,
     TPoly,
-    lax_residual,
+    defects,
     lax_solve,
     mat_random,
 )
@@ -160,9 +160,9 @@ def test_first_nonzero_names_a_perturbed_coefficient():
     alg = MatrixAlgebra(3)
     prob = LaxProblem(p=TPoly.of(alg, [mat_random(3, 5, 2), mat_random(3, 6, 2)]), l0=mat_random(3, 8, 2), n=4)
     sol = lax_solve(prob)
-    assert render.first_nonzero(lax_residual(sol.lq, sol.pq)) is None
+    assert render.first_nonzero(defects(sol.lq, sol.pq, True)) is None
     bump = mat_random(3, 9, 2)
     assert not bump.is_zero()
     for j in range(1, prob.n + 1):
         lq = sol.lq + QSeries.term(alg, prob.n, bump, j)
-        assert render.first_nonzero(lax_residual(lq, sol.pq)) == (j, j - 1)
+        assert render.first_nonzero(defects(lq, sol.pq, True)) == (j, j - 1)

@@ -156,6 +156,17 @@ def test_simplification_merges_shared_factors():
     assert cancelled.is_zero()
 
 
+def test_simplification_pins_the_pair_order():
+    # pairs merge by left factor in first-seen order, then by right factor
+    # in the order the left merge left them; a zero side drops its pair
+    a = RatMatrix.of([[1, 0], [0, 2]])
+    b = RatMatrix.of([[0, 1], [1, 0]])
+    c = RatMatrix.of([[1, 1], [0, 1]])
+    assert BiOp.of(M2, [(a, b), (c, b), (a, c), (M2.zero, a), (b, M2.zero)]).terms == ((a, b + c), (c, b))
+    assert BiOp.of(M2, [(c, a), (a, b), (b, b)]).terms == ((c, a), (a + b, b))
+    assert BiOp.of(M2, [(a, b), (c, a), (-a, b)]).terms == ((c, a),)
+
+
 def test_simplification_preserves_the_denoted_map():
     stream = int_stream(53)
     for _ in range(20):
