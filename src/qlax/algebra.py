@@ -20,17 +20,18 @@ a*b) / divisor, or (sum of [a, b]) / divisor when ``bracket`` is set, for
 a positive integer divisor, reducing once at the end.  Every series
 product, bracket, Taylor step and ``BiOp`` action is one ``dot`` call per
 q-order, found through ``type(alg.zero)``, over the pairs that
-``convolution`` lists.  A matrix or symbol type has a second static
-method, ``dot_defect(pairs, bracket, k, target)``: None when that sum
-(without a divisor) equals k*target, else the largest magnitude of
-k*target minus the sum.  ``laxflow.defects`` checks the flow equations
-with it, and the matrix version computes in plain integers and never
-calls ``dot``, so those checks share no arithmetic with the kernel that
-built the series they check.  The generic container ``BiOp``
-works over any such algebra and its values are elements in the same
-sense, so a q-series of BiOps over matrices is one more instance of the
-same contract; a ``QSeries`` has the same ring operations but is never
-itself a coefficient.
+``convolution`` lists.  A matrix or symbol type has two static checks:
+``dot_defect(pairs, bracket, k, target)``, None when that sum (without a
+divisor) equals k*target, else the largest magnitude of k*target minus
+the sum, with which ``laxflow.defects`` checks the flow equations; and
+``bracket_coords(p, x)``, the ``coords()`` of p*x - x*p from two products,
+never from ``dot``.  The matrix versions compute in plain integers and
+never call ``dot``, so those checks share no arithmetic with the kernel
+that built the series they check.  The generic container ``BiOp`` works
+over any such algebra and its values are elements in the same sense, so a
+q-series of BiOps over matrices is one more instance of the same
+contract; a ``QSeries`` has the same ring operations but is never itself
+a coefficient.
 
 A path P(t) is given as a :class:`TPoly`, an exact polynomial in t.  Once
 deformed it becomes a q-series whose q^k coefficient carries a single,
@@ -140,13 +141,6 @@ class TPoly:
     @staticmethod
     def const(alg: Algebra, a: Any) -> "TPoly":
         return TPoly(alg, (a,))
-
-    @staticmethod
-    def t_power(alg: Algebra, a: Any, k: int) -> "TPoly":
-        """The monomial a * t**k."""
-        if k < 0:
-            raise ValueError("t-exponent must be >= 0")
-        return TPoly(alg, (alg.zero,) * k + (a,))
 
     # -- structure ----------------------------------------------------
 

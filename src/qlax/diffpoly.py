@@ -162,14 +162,6 @@ class DiffPoly:
             self._degree = max((m % _MASK for m in self.nums), default=-1)
         return self._degree
 
-    def weight(self) -> int:
-        """Largest differential weight among the terms; -1 if zero."""
-        return max((sum(j * e for j, e in enumerate(_exponents(m))) for m in self.nums), default=-1)
-
-    def max_jet(self) -> int:
-        """Largest jet index that occurs; -1 if none."""
-        return (max((m.bit_length() for m in self.nums), default=0) - 1) // FIELD
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DiffPoly) and self.den == other.den and self.nums == other.nums
 

@@ -34,11 +34,11 @@ keeps as a test reference.
 
 ``defects`` checks either equation order by order, apart from the
 recurrence: at each q^k one static ``dot_defect`` of the coefficient type
-compares k*x_k with the sum of the steps over the pairs ``convolution``
-lists, and each order where they differ maps to the largest magnitude of
-the difference: the verdict, the location and the report's norms.  On
-matrices that is integer cross-multiplication that never calls ``dot``,
-so the check shares no arithmetic with the solver's kernel.
+compares k*x_k with the sum of the steps over the pairs it lists apart
+from ``convolution``, and each order where they differ maps to the largest
+magnitude of the difference: the verdict, the location and the report's
+norms.  On matrices that is integer cross-multiplication that never calls
+``dot``, so the check shares no arithmetic with the solver's kernel.
 ``lax_residual`` builds the whole residual dt_series(Lq) - Pq.bracket(Lq)
 through the kernel; the symmetry residual is one.
 
@@ -198,8 +198,9 @@ def defects(x: QSeries, pq: QSeries, bracket: bool) -> Dict[int, Fraction]:
     pq._check(x)
     zero = pq.alg.zero
     defect, path, xs = type(zero).dot_defect, nonzero(pq.coeffs), holes(x.coeffs)
-    # an order with no pairs compares k*x_k with the zero product
-    norms = ((k, defect(convolution(path, xs, k) or [(zero, zero)], bracket, k, c)) for k, c in enumerate(x.coeffs))
+    # (pq_i, x_(k-i)) listed apart from ``convolution``; with none, k*x_k vs 0
+    pairs = ([(p, xs[k - i]) for i, p in path if i <= k and xs[k - i] is not None] for k in range(len(xs)))
+    norms = ((k, defect(ps or [(zero, zero)], bracket, k, c)) for k, (c, ps) in enumerate(zip(x.coeffs, pairs)))
     return {k: norm for k, norm in norms if norm is not None}
 
 

@@ -194,17 +194,21 @@ class RatMatrix:
         top = max(abs(kd * t - td * sum(map(mul, row, col))) for row, trow in zip(rows, target.num) for col, t in zip(cols, trow))
         return Fraction(top, td * den) if top else None
 
+    @staticmethod
+    def bracket_coords(p: "RatMatrix", x: "RatMatrix") -> Tuple[dict, int]:
+        """``coords()`` of p*x - x*p over p.den * x.den, unreduced: two integer
+        products of the numerators per entry, written apart from ``dot``."""
+        p._check(x)
+        n, pcols, xcols = len(p.num), list(zip(*p.num)), list(zip(*x.num))
+        entries = (((i, j), sum(map(mul, p.num[i], xcols[j])) - sum(map(mul, x.num[i], pcols[j]))) for i in range(n) for j in range(n))
+        return {key: v for key, v in entries if v}, p.den * x.den
+
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
     def scale(self, c: Fraction) -> "RatMatrix":
         p, d = rational_parts(c)
         return _canonical(tuple(tuple(p * x for x in row) for row in self.num), self.den * d)
-
-    # -- linear algebra -------------------------------------------------
-
-    def trace(self) -> Fraction:
-        return Fraction(sum(self.num[i][i] for i in range(self.n)), self.den)
 
     def max_abs(self) -> Fraction:
         return Fraction(max(abs(x) for row in self.num for x in row), self.den)

@@ -122,14 +122,16 @@ class PsdoSymbol:
         compositions as ``+`` does, and ``divisor`` (a positive integer)
         joins the denominator of every coefficient.  In a bracket the j = 0
         terms a_k*b_m and b_m*a_k cancel, as the coefficients commute, so
-        both sides start at j = 1."""
+        both sides start at j = 1; in a product a constant factor goes on
+        the left, where the rule adds the other factor scaled by it."""
         floor, products = None, []
         for a, b in pairs:
             floor = PsdoSymbol._combine_floor(floor, _result_floor(a, b, None))
-            products.append((a, b, 1))
             if bracket:
                 floor = PsdoSymbol._combine_floor(floor, _result_floor(b, a, None))
-                products.append((b, a, -1))
+                products += ((a, b, 1), (b, a, -1))
+            else:  # x*c = c*x, where the rule keeps one term per term of x
+                products.append((b, a, 1) if _constant(b) is not None else (a, b, 1))
         return _sum_of_products(products, floor, int(bracket), divisor)
 
     @staticmethod
@@ -140,6 +142,11 @@ class PsdoSymbol:
         any symbol has unknown orders."""
         total, goal = PsdoSymbol.dot(pairs, bracket), target.scale(k)
         return None if total.floor is None and total == goal else (goal - total).max_abs()
+
+    @staticmethod
+    def bracket_coords(p: "PsdoSymbol", x: "PsdoSymbol") -> Optional[Tuple[dict, int]]:
+        """``coords()`` of compose(p, x) - compose(x, p), never through ``dot``."""
+        return (compose(p, x) - compose(x, p)).coords()
 
     def __pow__(self, n: int) -> "PsdoSymbol":
         if n < 0:

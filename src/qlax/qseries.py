@@ -115,12 +115,6 @@ class QSeries:
                 f"truncation orders differ: {self.trunc} vs {other.trunc}"
             )
 
-    def truncated(self, m: int) -> "QSeries":
-        """Drop coefficients above q^m (m <= N)."""
-        if m > self.trunc:
-            raise ValueError(f"cannot extend truncation {self.trunc} to {m}")
-        return QSeries(self.alg, self.coeffs[: m + 1])
-
     def map_coeffs(self, f: Callable[[Any], Any], alg: Algebra) -> "QSeries":
         """Apply f to every coefficient, giving a series over ``alg`` (same
         truncation order)."""

@@ -13,14 +13,14 @@ A BiOp sum_i (l_i, r_i) is the tensor sum_i l_i (x) r_i in A (x) A^op, and
 that tensor has a canonical form: expand each side in its backend's basis
 (``coords()``: matrix entries, or (symbol order, jet monomial) pairs) and
 collect the integer coefficients by basis pair over one common
-denominator.  ``BiOp.of`` still simplifies only structurally (pairs
-sharing a left or a right factor are merged, zero pairs pruned), so
-equality of BiOps is not structural.  A zero tensor is a zero map, so
-``residual_vanishes`` first tries that exact test (``tensor_vanishes``);
-when a tensor is not zero, or a side has unknown coordinates, it applies
-the residual to a probe set and compares in A, where equality is canonical
-(``probes_vanish``).  On matrices
-the two tests agree, as A (x) A^op is End(A) and the unit probes span A.
+denominator, as ``_tensor_defect`` does.  ``BiOp.of`` still simplifies
+only structurally (pairs sharing a left or a right factor are merged, zero
+pairs pruned), so equality of BiOps is not structural.  A zero tensor is a
+zero map, so ``residual_vanishes`` first tries that exact test
+(``tensor_vanishes``); when a tensor is not zero, or a side has unknown
+coordinates, it applies the residual to a probe set and compares in A,
+where equality is canonical (``probes_vanish``).  On matrices the two
+tests agree, as A (x) A^op is End(A) and the unit probes span A.
 Each backend's descriptor supplies its standard probe set through
 ``Algebra.probes()`` and callers may extend it; this module works over any
 algebra and imports no backend.
@@ -40,8 +40,9 @@ tests check that identity and the group law of the deformed symmetries.
 ``exp_ad``, the time-ordered exponential of the lifted path ad(Pq) (the
 parallel transport of the connection d/dt + ad_Pq), stays as the library
 form of the Ad-exp identity exp_ad(Pq)(X) = W X W^-1.  The residual
-recomputes dS/dt - [ad(Pq), S] as dt_series(S) - lift_ad(Pq).bracket(S),
-where the BiOp bracket is the difference of the two compositions.
+dS/dt - [ad(Pq), S] is checked per q-order in tensor coordinates by
+``symmetry_defects``; ``symmetry3_residual`` builds it as a BiOp series,
+dt_series(S) - lift_ad(Pq).bracket(S), for the probes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from .algebra import Algebra, convolution, holes, nonzero, rational
 from .laxflow import LaxProblem, LaxSolution, defects, flow, lax_residual, texp
@@ -89,24 +90,10 @@ class BiOp:
         return not self.terms
 
     def tensor_is_zero(self) -> bool:
-        """Whether sum_i l_i (x) r_i is zero, from the sides' coordinates
-        over the lcm of the pair denominators; False when some side's
-        coordinates are unknown.  A zero tensor denotes the zero map."""
-        coords = [(left.coords(), right.coords()) for left, right in self.terms]
-        if any(cl is None or cr is None for cl, cr in coords):
-            return False
-        den = lcm(*(cl[1] * cr[1] for cl, cr in coords))
-        rows: dict = {}  # left basis key -> {right basis key: numerator}
-        for (lnum, lden), (rnum, rden) in coords:
-            scale = den // (lden * rden)
-            r_items = rnum.items()
-            for kl, a in lnum.items():
-                row = rows.setdefault(kl, {})
-                get = row.get
-                a *= scale
-                for kr, b in r_items:
-                    row[kr] = get(kr, 0) + a * b
-        return not any(any(row.values()) for row in rows.values())
+        """Whether sum_i l_i (x) r_i is the zero tensor, which denotes the
+        zero map; False when some side's coordinates are unknown."""
+        terms = [(1, left.coords(), right.coords()) for left, right in self.terms]
+        return all(cl and cr for _, cl, cr in terms) and _tensor_defect(terms) is None
 
     # -- ring operations ----------------------------------------------
 
@@ -141,6 +128,28 @@ class BiOp:
         if c == 0:
             return BiOp(self.alg, ())
         return BiOp(self.alg, tuple((l.scale(c), r) for l, r in self.terms))
+
+
+def _tensor_defect(terms: Sequence[Tuple[int, Tuple[dict, int], Tuple[dict, int]]]) -> Optional[Fraction]:
+    """None when sum_t c_t * l_t (x) r_t is the zero tensor, else its largest
+    coordinate magnitude, for terms (integer c_t, coords of l_t, coords of
+    r_t).  Each right side packs into one integer, a field per basis key,
+    added into the row of each left key; no field can reach 2^(width-1) in
+    magnitude, so a row is 0 exactly when its fields are."""
+    den = lcm(*(ld * rd for _, (_, ld), (_, rd) in terms))
+    terms = [(c * (den // (ld * rd)), lnum, rnum) for c, (lnum, ld), (rnum, rd) in terms]
+    bound = sum(abs(c) * max(map(abs, lnum.values()), default=0) * max(map(abs, rnum.values()), default=0) for c, lnum, rnum in terms)
+    width, offsets, rows = bound.bit_length() + 1, {}, {}  # right key -> field offset, left key -> row
+    for c, lnum, rnum in terms:
+        packed = sum(b << offsets.setdefault(kr, width * len(offsets)) for kr, b in rnum.items())
+        for kl, a in lnum.items():
+            rows[kl] = rows.get(kl, 0) + c * a * packed
+    top, half, mask = 0, 1 << (width - 1), (1 << width) - 1
+    for row in rows.values():
+        while row:  # the signed fields, lowest first
+            digit = ((row & mask) ^ half) - half
+            top, row = max(top, abs(digit)), (row - digit) >> width
+    return Fraction(top, den) if top else None
 
 
 def _merge(pairs: Iterable[Tuple[Any, Any]]) -> dict:
@@ -216,6 +225,30 @@ def transport(s0: BiOp, pq: QSeries, lq: Optional[QSeries] = None) -> QSeries:
     return QSeries(BiOpAlgebra(base), tuple(out))
 
 
+def symmetry_defects(sq: QSeries, pq: QSeries) -> Optional[Dict[int, Fraction]]:
+    """{q-order k: largest coordinate magnitude} where dS/dt - [ad(Pq), S] is
+    not the zero tensor, or None when a side has unknown coordinates.  At q^k
+    that is k*S_k - sum_i sum_((l, r) in S_(k-i)) ([p_i, l] (x) r + l (x) [p_i, r]),
+    from the pairs of S and ``bracket_coords``; no BiOp is built."""
+    pq._check(sq)
+    one, bracket_coords = pq.alg.one, type(pq.alg.zero).bracket_coords
+    sides = [[(left, right, left.coords(), right.coords()) for left, right in bop.terms] for bop in sq.coeffs]
+    out = {}
+    for k in range(1, sq.trunc + 1):
+        terms = [(k, cl, cr) for _, _, cl, cr in sides[k]]
+        for i, p in nonzero(pq.coeffs[: k + 1]):
+            for left, right, cl, cr in sides[k - i]:  # a bracket with 1 is zero
+                if left != one:
+                    terms.append((-1, bracket_coords(p, left), cr))
+                if right != one:
+                    terms.append((-1, cl, bracket_coords(p, right)))
+        if not all(cl and cr for _, cl, cr in terms):
+            return None
+        if (norm := _tensor_defect(terms)) is not None:
+            out[k] = norm
+    return out
+
+
 def symmetry3_residual(sq: QSeries, pq: QSeries) -> QSeries:
     """dS/dt - [ad(Pq), S]: the defining equation of transported symmetries,
     recomputed from scratch.  BiOp-valued; test it with ``residual_vanishes``."""
@@ -273,4 +306,6 @@ def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq:
     if defects(sol.lq, sol.pq, True) or sol.lq.coeffs[0] != prob.l0:
         return False
     mq = apply_series(sq, sol.lq)
-    return not defects(mq, sol.pq, True) and mq.coeffs[0] == s0.apply(prob.l0)
+    start = [(left * prob.l0, right) for left, right in s0.terms] or [(prob.alg.zero,) * 2]
+    # M(0) = S0(L0) through ``dot_defect``, which on matrices shares no arithmetic with ``dot``
+    return not defects(mq, sol.pq, True) and type(prob.l0).dot_defect(start, False, 1, mq.coeffs[0]) is None

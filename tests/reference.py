@@ -1,6 +1,8 @@
-"""Reference maps, the pairwise BiOp action, exact matrix determinant and
-inverse, symbol accessors, the tree form of a series report and the
-character-loop DSL lexer, that only the tests use.
+"""Reference maps, the pairwise BiOp action, the tensor norm of a BiOp
+collected by basis pair, t-monomial paths, truncated series, exact matrix
+trace, determinant and inverse, symbol and jet-polynomial accessors, the
+tree form of a series report and the character-loop DSL lexer, that only
+the tests use.
 
 Each one restates a definition from the paper, or a report format, on top
 of the library's public operations, so a test can compare a command's
@@ -20,6 +22,7 @@ from qlax import (
     QlaxError,
     QSeries,
     RatMatrix,
+    TPoly,
     UnboundIdentifier,
     apply_series,
     symmetry3_residual,
@@ -85,6 +88,43 @@ def symmetry2_residual(sq: QSeries, pq: QSeries, lq: QSeries) -> QSeries:
     equation, since a nonzero operator can still annihilate Lq.
     """
     return apply_series(symmetry3_residual(sq, pq), lq)
+
+
+def tensor_norm(bop: BiOp) -> Fraction | None:
+    """The largest coordinate magnitude of the tensor sum_i l_i (x) r_i,
+    collected by basis pair in Fractions; None for the zero tensor."""
+    table: dict = {}
+    for left, right in bop.terms:
+        (lnum, lden), (rnum, rden) = left.coords(), right.coords()
+        for kl, a in lnum.items():
+            for kr, b in rnum.items():
+                table[kl, kr] = table.get((kl, kr), 0) + Fraction(a * b, lden * rden)
+    top = max(map(abs, table.values()), default=0)
+    return top or None
+
+
+def t_power(alg: Any, a: Any, k: int) -> TPoly:
+    """The path a * t**k."""
+    return TPoly(alg, (alg.zero,) * k + (a,))
+
+
+def truncated(series: QSeries, m: int) -> QSeries:
+    """The series modulo q^(m+1), for m <= N."""
+    return QSeries(series.alg, series.coeffs[: m + 1])
+
+
+def weight(dp: DiffPoly) -> int:
+    """Largest differential weight sum(j * e) among the terms; -1 if zero."""
+    return max((sum(j * e for j, e in mono) for mono, _ in dp.terms), default=-1)
+
+
+def max_jet(dp: DiffPoly) -> int:
+    """Largest jet index that occurs; -1 if none."""
+    return max((j for mono, _ in dp.terms for j, _ in mono), default=-1)
+
+
+def trace(m: RatMatrix) -> Fraction:
+    return Fraction(sum(m.num[i][i] for i in range(len(m.num))), m.den)
 
 
 class Singular(QlaxError):

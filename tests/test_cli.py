@@ -315,12 +315,32 @@ def first_failing_order(err, check):
 def test_symmetry_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
     # M = S.Lq and the symmetry2 residual sum through the same dot as the
     # flow: a faulty dot may leave a verdict unchanged, but any change to
-    # the output must come with exit 1, and nothing may crash or exit 2
+    # the output must come with exit 1, and nothing may crash or exit 2.
+    # The exit codes, in the order of DOT_FAULTS, may only rise above
+    # these, and a failed symmetry3 check names its first failing order
     deep = tmp_path / "kdv_d_u_n5.json"
     doc = json.loads((PROBLEMS / "kdv_symmetry_n2.json").read_text())
     deep.write_text(json.dumps({**doc, "N": 5, "S0": [["d", "u"]]}))
     paths = (PROBLEMS / "matrix_symmetry_n3.json", PROBLEMS / "kdv_symmetry_n2.json", deep)
-    assert_faults_change_nothing_silently(monkeypatch, capsys, "symmetry", paths)
+    runs = assert_faults_change_nothing_silently(monkeypatch, capsys, "symmetry", paths)
+    least = {"matrix_symmetry_n3.json": [1, 1, 1, 1], "kdv_symmetry_n2.json": [1, 0, 1, 1], deep.name: [1, 0, 1, 1]}
+    for name, found in runs.items():
+        codes = [code for code, _, _ in found]
+        assert all(code >= floor for code, floor in zip(codes, least[name])), (name, codes)
+        for code, out, err in found:
+            if "symmetry3 residual: FAIL" in out:
+                assert first_failing_order(err, "symmetry3 residual") is not None, (name, err)
+
+
+def matrix4x4_n10(tmp_path):
+    # a 4x4 matrix problem at N = 10 with deg_t P = 1
+    import random
+
+    rng = random.Random(1)
+    entries = [[[str(rng.choice((-2, -1, 1, 2))) for _ in range(4)] for _ in range(4)] for _ in range(3)]
+    deep = tmp_path / "matrix4x4_n10.json"
+    deep.write_text(json.dumps({"backend": "matrix", "L0": entries[0], "P": [[0, entries[1]], [1, entries[2]]], "N": 10}))
+    return deep
 
 
 def test_matrix_lax_solve_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
@@ -328,12 +348,7 @@ def test_matrix_lax_solve_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path)
     # that changes W or Lq cannot confirm itself, and the JSON norms come
     # from the same comparison as the verdict.  KdV stays out: its check
     # still sums through PsdoSymbol.dot
-    import random
-
-    rng = random.Random(1)
-    entries = [[[str(rng.choice((-2, -1, 1, 2))) for _ in range(4)] for _ in range(4)] for _ in range(3)]
-    deep = tmp_path / "matrix4x4_n10.json"
-    deep.write_text(json.dumps({"backend": "matrix", "L0": entries[0], "P": [[0, entries[1]], [1, entries[2]]], "N": 10}))
+    deep = matrix4x4_n10(tmp_path)
     w_failed = 0
     for fmt in ("text", "json"):
         runs = assert_faults_change_nothing_silently(
@@ -354,6 +369,33 @@ def test_matrix_lax_solve_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path)
                 else:
                     assert not report["zero"] and norms[:k] == ["0"] * k and norms[k] != "0", (k, norms)
     assert w_failed
+
+
+def test_lax_solve_lists_its_check_pairs_apart_from_convolution(monkeypatch, capsys, tmp_path):
+    # with convolution dropping the last pair of every order that has more
+    # than one, the solver builds a wrong W and Lq; the checks list their
+    # own pairs, so both matrix files fail.  KdV's P has one t-degree, so
+    # each order has one pair and its output keeps every byte
+    from qlax import algebra, qseries, symops
+
+    real = algebra.convolution
+
+    def dropped(left, right, k):
+        pairs = real(left, right, k)
+        return pairs[:-1] if len(pairs) > 1 else pairs
+
+    for fmt in ("text", "json"):
+        for path in (PROBLEMS / "matrix3x3_n2.json", matrix4x4_n10(tmp_path), PROBLEMS / "kdv_n2.json"):
+            clean = run(capsys, "lax-solve", str(path), "--format", fmt)
+            assert clean[0] == 0
+            with monkeypatch.context() as m:
+                for module in (algebra, laxflow, qseries, symops):
+                    m.setattr(module, "convolution", dropped)
+                code, out, err = run(capsys, "lax-solve", str(path), "--format", fmt)
+            if path.name == "kdv_n2.json":
+                assert (code, out, err) == clean
+            else:
+                assert code == 1 and out != clean[1] and err.startswith("failed check: "), (path.name, fmt)
 
 
 def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
@@ -760,6 +802,25 @@ def test_symmetry_skips_r2_when_the_r3_tensor_vanishes(monkeypatch, capsys):
         assert calls == []
 
 
+def test_passing_symmetry_never_builds_the_residual(monkeypatch, capsys):
+    # an empty per-order map decides symmetry3 and symmetry2 exactly, so a
+    # passing run builds no BiOp residual; the report keeps every byte
+    from qlax import cli, symops
+    from test_golden import GOLDEN, ROOT, digest
+
+    def refuse(*args):
+        raise AssertionError("called by a passing symmetry")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("QLAX_FORMAT", raising=False)
+    monkeypatch.setattr(cli, "symmetry3_residual", refuse)
+    monkeypatch.setattr(symops, "lax_residual", refuse)
+    for name in ("matrix_symmetry_n3.json", "kdv_symmetry_n2.json"):
+        for fmt in ("text", "json"):
+            key = ("symmetry", f"problems/{name}", "--format", fmt)
+            assert digest(key) == GOLDEN[" ".join(key)]
+
+
 def test_symmetry_with_a_broken_transport_fails_both_residuals(monkeypatch, capsys):
     # S + q*1 adds the identity to r3 at q^1, which maps Lq(0) = L0 != 0 to
     # r2 at q^1: not a zero tensor, so r3 goes to the probes and r2 is
@@ -786,7 +847,9 @@ def test_symmetry_with_a_broken_transport_fails_both_residuals(monkeypatch, caps
 def test_symmetry_unit_probes_catch_what_the_problem_probes_miss(monkeypatch, capsys):
     # X -> tr(X) E_00 = (E_00, E_00) + (E_01, E_10) kills L0 and both P
     # coefficients of the shipped matrix problem (all traceless) and every
-    # Lq coefficient, so only the probe fallback on a unit matrix sees it
+    # Lq coefficient, so only the probe fallback on a unit matrix sees it.
+    # The residual is built only when the per-order map is not empty, so
+    # the map reports the bump's order too
     from qlax import BiOp, BiOpAlgebra, QSeries, cli, residual_vanishes, symops
     from qlax.problemfile import load_problem_file
 
@@ -801,7 +864,8 @@ def test_symmetry_unit_probes_catch_what_the_problem_probes_miss(monkeypatch, ca
     assert not r3.coeffs[1].tensor_is_zero()
     assert residual_vanishes(r3, [pf.l0, *pf.p.coeffs]) and not residual_vanishes(r3, units)
     monkeypatch.setattr(cli, "symmetry3_residual", bumped)
-    code, out, _ = run(capsys, "symmetry", path)
+    monkeypatch.setattr(cli, "symmetry_defects", lambda sq, pq: {1: Fraction(1)})
+    code, out, err = run(capsys, "symmetry", path)
     assert code == 1
     assert out == (
         "symmetry3 residual: FAIL (checked on 7 probes)\n"
@@ -809,6 +873,7 @@ def test_symmetry_unit_probes_catch_what_the_problem_probes_miss(monkeypatch, ca
         "transported solution: PASS\n"
         "FAIL\n"
     )
+    assert err == "failed check: symmetry3 residual (first nonzero at q^1, t^0)\n"
 
 
 def test_symmetry_identity_s0(tmp_path, capsys):

@@ -17,22 +17,11 @@ from qlax.symops import BiOpAlgebra, apply_series
 M2 = MatrixAlgebra(2)
 
 
-def test_tpoly_power_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        TPoly.t_power(M2, M2.one, -1)
-
-
 def test_qseries_term_rejects_out_of_range_power():
     with pytest.raises(ValueError):
         QSeries.term(M2, 2, M2.one, 3)
     with pytest.raises(ValueError):
         QSeries.term(M2, 2, M2.one, -1)
-
-
-def test_qseries_truncated_cannot_extend():
-    s = QSeries.one(M2, 2)
-    with pytest.raises(ValueError):
-        s.truncated(4)
 
 
 def test_matrix_of_rejects_non_square():

@@ -102,19 +102,36 @@ def test_descriptors_leave_arithmetic_to_elements():
         assert isinstance(vars(cls).get("dot"), staticmethod), cls.__name__
     # and a backend coefficient type measures how far such a sum is from a
     # multiple of a target, which is how laxflow.defects checks the flow
-    # equations
+    # equations, and gives the coordinates of a bracket, which is how
+    # symops.symmetry_defects checks the symmetry equation
     for cls in (qlax.RatMatrix, qlax.PsdoSymbol):
-        assert isinstance(vars(cls).get("dot_defect"), staticmethod), cls.__name__
+        for name in ("dot_defect", "bracket_coords"):
+            assert isinstance(vars(cls).get(name), staticmethod), (cls.__name__, name)
+
+
+def called_names(module: str, *path: str) -> set:
+    """The names called inside a function or method of a qlax module,
+    found by its path of class and function names."""
+    node = ast.parse(source(module))
+    for name in path:
+        node = next(n for n in node.body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name)
+    return {call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
 
 
 def test_matrix_comparison_never_calls_the_kernel():
-    # the matrix check must share no arithmetic with the kernel it checks
-    tree = ast.parse(source("matrix"))
-    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RatMatrix")
-    method = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "dot_defect")
-    called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-              for node in ast.walk(method) if isinstance(node, ast.Call)}
-    assert not called & {"dot", "_canonical", "RatMatrix", "gcd"}, called
+    # the matrix checks must share no arithmetic with the kernel they check
+    for method in ("dot_defect", "bracket_coords"):
+        called = called_names("matrix", "RatMatrix", method)
+        assert not called & {"dot", "_canonical", "RatMatrix", "gcd"}, (method, called)
+
+
+def test_symmetry_defects_build_no_biop_and_call_no_kernel():
+    # the per-order symmetry check brackets through the backend's own
+    # bracket_coords, never through dot, a bracket method or a BiOp
+    called = called_names("symops", "symmetry_defects")
+    assert not called & {"dot", "bracket", "BiOp", "of", "lax_residual", "symmetry3_residual", "lift_ad"}, called
+    assert not called_names("psdo", "PsdoSymbol", "bracket_coords") & {"dot", "bracket", "_sum_of_products"}
 
 
 def test_expr_parser_elaborates_without_a_syntax_tree():

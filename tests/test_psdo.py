@@ -335,17 +335,21 @@ def test_bracket_matches_compose(ta, tb, fa, fb, work):
         assert bracket_or_error(lambda: commutator(x, y)) == expected
 
 
+# a dot side: a symbol with an optional floor, or a constant, which dot
+# passes through without the symbol rule
+dot_sides = st.builds(lambda terms, floor: PsdoSymbol.of(terms.items(), floor), symbol_terms, floors) | small_fractions.map(PsdoSymbol.const)
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.tuples(symbol_terms, floors, symbol_terms, floors), min_size=1, max_size=3),
-    st.booleans(),
-    st.integers(1, 12),
-)
-def test_dot_matches_the_pairwise_sum(rows, bracket, divisor):
-    """dot equals the sum of the compositions or brackets of its pairs,
-    scaled, floor included, and raises exactly when one of them does."""
-    pairs = [(PsdoSymbol.of(ta.items(), fa), PsdoSymbol.of(tb.items(), fb)) for ta, fa, tb, fb in rows]
-    step = (lambda x, y: x.bracket(y)) if bracket else compose
+@given(st.lists(st.tuples(dot_sides, dot_sides), min_size=1, max_size=3), st.booleans(), st.integers(1, 12))
+def test_dot_matches_the_pairwise_sum(pairs, bracket, divisor):
+    """dot equals the sum of the compositions or brackets of its pairs by
+    the symbol rule, scaled, floor included, and raises exactly when one of
+    them does; constant sides included."""
+    if bracket:
+        step = lambda x, y: general_compose(x, y) - general_compose(y, x)
+    else:
+        step = general_compose
 
     def reference():
         return sum((step(x, y) for x, y in pairs), PsdoSymbol.zero()).scale(Fraction(1, divisor))

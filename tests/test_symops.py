@@ -41,9 +41,10 @@ from qlax import (
     transport,
     transported_solution_check,
 )
+from qlax.symops import symmetry_defects
 
 from conftest import diffops, int_stream, matrices, rint, small_fractions
-from reference import apply_pairwise, apply_series_pairwise, det, extensionally_equal, invert, symmetry2_residual
+from reference import apply_pairwise, apply_series_pairwise, det, extensionally_equal, invert, symmetry2_residual, tensor_norm
 
 M2 = MatrixAlgebra(2)
 UNITS2 = M2.probes()
@@ -567,6 +568,74 @@ def test_perturbed_r3_coefficient_fails_through_the_probes(monkeypatch):
         assert any(bop.terms for bop in r3.coeffs)  # not decided by an empty BiOp
         assert residual_vanishes(r3, probes) and not calls
         assert not residual_vanishes(bump_first_pair(r3), probes) and calls
+
+
+# -- the per-order symmetry check --------------------------------------------------
+
+def residual_norms(sq, pq):
+    """{k: norm} of the BiOp residual, collected by basis pair."""
+    norms = ((k, tensor_norm(bop)) for k, bop in enumerate(symmetry3_residual(sq, pq).coeffs))
+    return {k: norm for k, norm in norms if norm is not None}
+
+
+def symmetry_cases():
+    l_op, p_op = kdv_pair()
+    palg = PsdoAlgebra()
+    kdv = LaxProblem(p=TPoly.const(palg, p_op), l0=l_op, n=3)
+    d, u = PsdoSymbol.xi(1), PsdoSymbol.from_dp(DiffPoly.u(0))
+    yield kdv, BiOp.of(palg, [(l_op, PsdoSymbol.one())])
+    yield kdv, BiOp.of(palg, [(d, u), (PsdoSymbol.one(), l_op)])
+    for seed in (83, 97):
+        prob = rand_problem(seed, n=4, nn=3, deg=1)
+        yield prob, rand_biop(prob.alg, int_stream(seed + 1))
+
+
+def test_symmetry_defects_match_the_residual_tensor():
+    # a transport has an empty map; a bump b at q^k adds k*b there and
+    # [ad p_i, b] above it, and the map reads the orders and the norms of
+    # the BiOp residual, which it never builds
+    for prob, s0 in symmetry_cases():
+        sol = lax_solve(prob)
+        sq = transport(s0, sol.pq, sol.lq)
+        assert symmetry_defects(sq, sol.pq) == {} == residual_norms(sq, sol.pq)
+        balg = BiOpAlgebra(prob.alg)
+        for bump in (BiOp.identity(prob.alg), s0):
+            for k in (1, prob.n - 1):
+                bumped = sq + QSeries.term(balg, prob.n, bump, k)
+                found = symmetry_defects(bumped, sol.pq)
+                assert found == residual_norms(bumped, sol.pq) and min(found) == k
+
+
+def test_an_extra_unit_pair_is_located_at_its_order():
+    # (1, 1) commutes with every ad p_i, so an extra unit pair at q^2 shows
+    # at q^2 only, with norm 2
+    for prob, s0 in symmetry_cases():
+        sol = lax_solve(prob)
+        sq = transport(s0, sol.pq, sol.lq)
+        extra = QSeries.term(BiOpAlgebra(prob.alg), prob.n, BiOp.identity(prob.alg), 2)
+        assert symmetry_defects(sq + extra, sol.pq) == {2: 2}
+
+
+def test_symmetry_defects_need_known_coordinates():
+    palg = PsdoAlgebra()
+    l_op, p_op = kdv_pair()
+    pq = deform(TPoly.const(palg, p_op), 2)
+    cut = PsdoSymbol.of(l_op.terms, floor=-1)
+    sq = QSeries.constant(BiOpAlgebra(palg), 2, BiOp.of(palg, [(cut, PsdoSymbol.one())]))
+    assert symmetry_defects(sq, pq) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_sums(matrices(2, bound=2)), tensor_sums(diffops(max_order=2)))
+def test_packed_tensor_norm_matches_the_basis_pair_sum(matrix_terms, symbol_terms):
+    # the packed rows decode to the coordinates collected by basis pair
+    from qlax import symops
+
+    for alg, terms in ((M2, matrix_terms), (PsdoAlgebra(), symbol_terms)):
+        bop = BiOp(alg, tuple(terms))
+        packed = symops._tensor_defect([(1, left.coords(), right.coords()) for left, right in terms])
+        assert packed == tensor_norm(bop)
+        assert bop.tensor_is_zero() == (packed is None)
 
 
 # -- transported solutions -------------------------------------------------------
