@@ -22,8 +22,9 @@ product, bracket, Taylor step and ``BiOp`` action is one ``dot`` call per
 q-order, found through ``type(alg.zero)``, over the pairs that
 ``convolution`` lists.  A matrix or symbol type has two static checks:
 ``dot_defect(pairs, bracket, k, target)``, None when that sum (without a
-divisor) equals k*target, else the largest magnitude of k*target minus
-the sum, with which ``laxflow.defects`` checks the flow equations; and
+divisor) over a possibly empty sequence of pairs equals k*target, else
+the largest magnitude of k*target minus the sum, with which
+``laxflow.defects`` checks the flow equations; and
 ``bracket_coords(p, x)``, the ``coords()`` of p*x - x*p from two products,
 never from ``dot``.  The matrix versions compute in plain integers and
 never call ``dot``, so those checks share no arithmetic with the kernel

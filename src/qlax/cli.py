@@ -41,7 +41,6 @@ from .symops import (
     probes_vanish,
     symmetry3_residual,
     symmetry_defects,
-    tensor_vanishes,
     transport,
     transported_solution_check,
 )
@@ -166,10 +165,9 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     sq = transport(prob.s0, sol.pq, sol.lq)
     probes = _symmetry_probes(args, prob)
     located = symmetry_defects(sq, sol.pq)  # {} for a zero r3 tensor, None when a side has unknown coordinates
-    r3 = None if located == {} else symmetry3_residual(sq, sol.pq)  # built only to judge a defect
-    exact = r3 is None or tensor_vanishes(r3)  # then r3 maps every element to zero, Lq included
-    r3_zero = exact or probes_vanish(r3, probes)
-    r2_zero = exact or apply_series(r3, sol.lq).is_zero()  # the symmetry2 residual, reusing r3
+    r3 = None if located == {} else symmetry3_residual(sq, sol.pq)  # built only for the probes and Lq
+    r3_zero = r3 is None or probes_vanish(r3, probes)
+    r2_zero = r3 is None or apply_series(r3, sol.lq).is_zero()  # the symmetry2 residual, reusing r3
     carried = transported_solution_check(prob.s0, prob, sol, sq)
     ok = _verdict((("symmetry3 residual" + _where(located or {}), r3_zero), ("symmetry2 residual", r2_zero), ("transported solution", carried)))
     if args.format == "json":

@@ -35,10 +35,11 @@ keeps as a test reference.
 ``defects`` checks either equation order by order, apart from the
 recurrence: at each q^k one static ``dot_defect`` of the coefficient type
 compares k*x_k with the sum of the steps over the pairs it lists apart
-from ``convolution``, and each order where they differ maps to the largest
-magnitude of the difference: the verdict, the location and the report's
-norms.  On matrices that is integer cross-multiplication that never calls
-``dot``, so the check shares no arithmetic with the solver's kernel.
+from ``nonzero``, ``holes`` and ``convolution``, and each order where
+they differ maps to the largest magnitude of the difference: the verdict,
+the location and the report's norms.  On matrices that is integer
+cross-multiplication that never calls ``dot``, so the check shares no
+arithmetic with the solver's kernel.
 ``lax_residual`` builds the whole residual dt_series(Lq) - Pq.bracket(Lq)
 through the kernel; the symmetry residual is one.
 
@@ -196,11 +197,12 @@ def defects(x: QSeries, pq: QSeries, bracket: bool) -> Dict[int, Fraction]:
     if pq.val() < 1:
         raise ValuationError("the path of a flow needs q-valuation >= 1")
     pq._check(x)
-    zero = pq.alg.zero
-    defect, path, xs = type(zero).dot_defect, nonzero(pq.coeffs), holes(x.coeffs)
-    # (pq_i, x_(k-i)) listed apart from ``convolution``; with none, k*x_k vs 0
+    defect = type(pq.alg.zero).dot_defect
+    # path, steps and pairs listed here, apart from the solver; with no pair, k*x_k vs 0
+    path = [(i, p) for i, p in enumerate(pq.coeffs) if not p.is_zero()]
+    xs = [None if c.is_zero() else c for c in x.coeffs]
     pairs = ([(p, xs[k - i]) for i, p in path if i <= k and xs[k - i] is not None] for k in range(len(xs)))
-    norms = ((k, defect(ps or [(zero, zero)], bracket, k, c)) for k, (c, ps) in enumerate(zip(x.coeffs, pairs)))
+    norms = ((k, defect(ps, bracket, k, c)) for k, (c, ps) in enumerate(zip(x.coeffs, pairs)))
     return {k: norm for k, norm in norms if norm is not None}
 
 

@@ -166,8 +166,8 @@ class RatMatrix:
     @staticmethod
     def dot_defect(pairs: Sequence[Tuple["RatMatrix", "RatMatrix"]], bracket: bool, k: int, target: "RatMatrix") -> Optional[Fraction]:
         """None when the sum of a*b (or of [a, b] when ``bracket`` is set)
-        over a nonempty sequence of pairs equals k*target, else the largest
-        entry magnitude of k*target minus that sum, in plain integers.
+        over a possibly empty sequence of pairs equals k*target, else the
+        largest entry magnitude of k*target minus that sum, in plain integers.
 
         The pairs are laid out in the block form of ``dot`` over the lcm
         ``den`` of the pair denominators, and each entry s/den of the sum is
@@ -189,7 +189,7 @@ class RatMatrix:
                 for row, xr in zip(rows, x.num):
                     row += xr if c == 1 else [c * v for v in xr]
                 right += y.num
-        cols = tuple(zip(*right))
+        cols = tuple(zip(*right)) or ((),) * n  # no pairs: each entry of the sum is 0
         td, kd = target.den, k * den
         top = max(abs(kd * t - td * sum(map(mul, row, col))) for row, trow in zip(rows, target.num) for col, t in zip(cols, trow))
         return Fraction(top, td * den) if top else None

@@ -17,10 +17,10 @@ denominator, as ``_tensor_defect`` does.  ``BiOp.of`` still simplifies
 only structurally (pairs sharing a left or a right factor are merged, zero
 pairs pruned), so equality of BiOps is not structural.  A zero tensor is a
 zero map, so ``residual_vanishes`` first tries that exact test
-(``tensor_vanishes``); when a tensor is not zero, or a side has unknown
-coordinates, it applies the residual to a probe set and compares in A,
-where equality is canonical (``probes_vanish``).  On matrices the two
-tests agree, as A (x) A^op is End(A) and the unit probes span A.
+(``BiOp.tensor_is_zero``); when a tensor is not zero, or a side has
+unknown coordinates, it applies the residual to a probe set and compares
+in A, where equality is canonical (``probes_vanish``).  On matrices the
+two tests agree, as A (x) A^op is End(A) and the unit probes span A.
 Each backend's descriptor supplies its standard probe set through
 ``Algebra.probes()`` and callers may extend it; this module works over any
 algebra and imports no backend.
@@ -274,12 +274,6 @@ def apply_to_probe(sq: QSeries, x: Any) -> QSeries:
     return sq.map_coeffs(lambda bop: bop.apply(x), sq.alg.base)
 
 
-def tensor_vanishes(residual: QSeries) -> bool:
-    """Whether every coefficient of a BiOp-valued series is a zero tensor:
-    then the residual maps every element to zero, an exact verdict."""
-    return all(bop.tensor_is_zero() for bop in residual.coeffs)
-
-
 def probes_vanish(residual: QSeries, probes: Sequence[Any]) -> bool:
     """Whether a BiOp-valued series maps every probe to zero."""
     return all(apply_to_probe(residual, x).is_zero() for x in probes)
@@ -289,7 +283,7 @@ def residual_vanishes(residual: QSeries, probes: Sequence[Any]) -> bool:
     """Zero test for a BiOp-valued residual series: exact when every
     coefficient is a zero tensor, which every probe would confirm;
     otherwise extensional, on the probes."""
-    return tensor_vanishes(residual) or probes_vanish(residual, probes)
+    return all(bop.tensor_is_zero() for bop in residual.coeffs) or probes_vanish(residual, probes)
 
 
 def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq: QSeries) -> bool:
@@ -306,6 +300,6 @@ def transported_solution_check(s0: BiOp, prob: LaxProblem, sol: LaxSolution, sq:
     if defects(sol.lq, sol.pq, True) or sol.lq.coeffs[0] != prob.l0:
         return False
     mq = apply_series(sq, sol.lq)
-    start = [(left * prob.l0, right) for left, right in s0.terms] or [(prob.alg.zero,) * 2]
+    start = [(left * prob.l0, right) for left, right in s0.terms]
     # M(0) = S0(L0) through ``dot_defect``, which on matrices shares no arithmetic with ``dot``
     return not defects(mq, sol.pq, True) and type(prob.l0).dot_defect(start, False, 1, mq.coeffs[0]) is None

@@ -272,25 +272,91 @@ def divisor_ignored(real):
     return lambda pairs, bracket=False, divisor=1: real(pairs, bracket)
 
 
-DOT_FAULTS = (bracket_swapped, product_swapped, last_pair_dropped, divisor_ignored)
+def on_dot(fault):
+    # the installer of a fault of dot on both element kernels
+    def install(m):
+        from qlax import PsdoSymbol, RatMatrix
+
+        for cls in (RatMatrix, PsdoSymbol):
+            m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
+
+    install.__name__ = fault.__name__
+    return install
 
 
-def assert_faults_change_nothing_silently(monkeypatch, capsys, command, paths, *options):
+DOT_FAULTS = tuple(map(on_dot, (bracket_swapped, product_swapped, last_pair_dropped, divisor_ignored)))
+
+
+# Faults past dot, each an installer.  A listing helper of ``algebra`` is
+# patched wherever its name is bound, so the solver and every check see it.
+
+def last_of_many_dropped(real):
+    def dropped(*args):
+        out = real(*args)
+        return out[:-1] if len(out) > 1 else out
+    return dropped
+
+
+def last_nonzero_of_many_dropped(real):
+    def dropped(coeffs):
+        out = real(coeffs)
+        kept = [i for i, c in enumerate(out) if c is not None]
+        if len(kept) > 1:
+            out[kept[-1]] = None
+        return out
+    return dropped
+
+
+def on_listing(name, fault):
+    def install(m):
+        from qlax import algebra, qseries, symops
+
+        real = getattr(algebra, name)
+        for module in (algebra, laxflow, qseries, symops):
+            m.setattr(module, name, fault(real))
+
+    install.__name__ = f"{name}_{fault.__name__}"
+    return install
+
+
+def add_subtracting(m):
+    from qlax import RatMatrix
+
+    m.setattr(RatMatrix, "__add__", RatMatrix.__sub__)
+
+
+def dx_term_dropped(m):
+    # dx is memoised per value, so the fault drops a term from every result
+    from qlax import DiffPoly
+
+    real = DiffPoly.dx
+
+    def dx(dp):
+        out = real(dp)
+        return DiffPoly.of(list(out.nums.items())[:-1], out.den) if len(out.nums) > 1 else out
+
+    m.setattr(DiffPoly, "dx", dx)
+
+
+CONVOLUTION_DROPPED = on_listing("convolution", last_of_many_dropped)
+NONZERO_DROPPED = on_listing("nonzero", last_of_many_dropped)
+HOLES_DROPPED = on_listing("holes", last_nonzero_of_many_dropped)
+PAST_DOT_FAULTS = (CONVOLUTION_DROPPED, NONZERO_DROPPED, HOLES_DROPPED, add_subtracting, dx_term_dropped)
+
+
+def assert_faults_change_nothing_silently(monkeypatch, capsys, command, paths, *options, faults=DOT_FAULTS):
     # under each fault installed for the whole command, a changed stdout
     # must come with exit 1; exit 2 and a crash fail too.  Exit 1 names the
     # failed checks on one stderr line, and exit 0 writes nothing there.
     # Returns the (code, stdout, stderr) runs by file name, in the order of
-    # DOT_FAULTS
-    from qlax import PsdoSymbol, RatMatrix
-
+    # ``faults``
     runs = {}
     for path in paths:
         clean = run(capsys, command, str(path), *options)
         assert clean[0] == 0 and clean[2] == "", path.name
-        for fault in DOT_FAULTS:
+        for fault in faults:
             with monkeypatch.context() as m:
-                for cls in (RatMatrix, PsdoSymbol):
-                    m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
+                fault(m)
                 code, out, err = run(capsys, command, str(path), *options)
             assert code in (0, 1), (path.name, fault.__name__)
             assert code == 1 or out == clean[1], (path.name, fault.__name__)
@@ -316,14 +382,20 @@ def test_symmetry_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
     # M = S.Lq and the symmetry2 residual sum through the same dot as the
     # flow: a faulty dot may leave a verdict unchanged, but any change to
     # the output must come with exit 1, and nothing may crash or exit 2.
-    # The exit codes, in the order of DOT_FAULTS, may only rise above
-    # these, and a failed symmetry3 check names its first failing order
+    # The same holds past dot: a listing helper, a matrix sum or a symbol
+    # derivative at fault.  The exit codes, in the order of DOT_FAULTS and
+    # then PAST_DOT_FAULTS, may only rise above these, and a failed
+    # symmetry3 check names its first failing order
     deep = tmp_path / "kdv_d_u_n5.json"
     doc = json.loads((PROBLEMS / "kdv_symmetry_n2.json").read_text())
     deep.write_text(json.dumps({**doc, "N": 5, "S0": [["d", "u"]]}))
     paths = (PROBLEMS / "matrix_symmetry_n3.json", PROBLEMS / "kdv_symmetry_n2.json", deep)
-    runs = assert_faults_change_nothing_silently(monkeypatch, capsys, "symmetry", paths)
-    least = {"matrix_symmetry_n3.json": [1, 1, 1, 1], "kdv_symmetry_n2.json": [1, 0, 1, 1], deep.name: [1, 0, 1, 1]}
+    runs = assert_faults_change_nothing_silently(monkeypatch, capsys, "symmetry", paths, faults=DOT_FAULTS + PAST_DOT_FAULTS)
+    least = {
+        "matrix_symmetry_n3.json": [1, 1, 1, 1] + [1, 1, 1, 1, 0],
+        "kdv_symmetry_n2.json": [1, 0, 1, 1] + [1, 1, 1, 0, 1],
+        deep.name: [1, 0, 1, 1] + [1, 1, 1, 0, 1],
+    }
     for name, found in runs.items():
         codes = [code for code, _, _ in found]
         assert all(code >= floor for code, floor in zip(codes, least[name])), (name, codes)
@@ -346,18 +418,20 @@ def matrix4x4_n10(tmp_path):
 def test_matrix_lax_solve_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path):
     # the matrix checks compare in integers and never call dot, so a fault
     # that changes W or Lq cannot confirm itself, and the JSON norms come
-    # from the same comparison as the verdict.  KdV stays out: its check
-    # still sums through PsdoSymbol.dot
+    # from the same comparison as the verdict.  A matrix sum that
+    # subtracts, the last input, keeps every byte.  KdV stays out: its
+    # check still sums through PsdoSymbol.dot
     deep = matrix4x4_n10(tmp_path)
     w_failed = 0
     for fmt in ("text", "json"):
         runs = assert_faults_change_nothing_silently(
-            monkeypatch, capsys, "lax-solve", (PROBLEMS / "matrix3x3_n2.json", deep), "--format", fmt
+            monkeypatch, capsys, "lax-solve", (PROBLEMS / "matrix3x3_n2.json", deep), "--format", fmt,
+            faults=DOT_FAULTS + (add_subtracting,),
         )
         # at N = 2 the products of W's recurrence are p_1*1 and p_0*p_0, so
         # a swapped product leaves W unchanged
         codes = {name: [code for code, _, _ in found] for name, found in runs.items()}
-        assert codes == {"matrix3x3_n2.json": [1, 0, 1, 1], "matrix4x4_n10.json": [1, 1, 1, 1]}, fmt
+        assert codes == {"matrix3x3_n2.json": [1, 0, 1, 1, 0], "matrix4x4_n10.json": [1, 1, 1, 1, 0]}, fmt
         for code, out, err in (r for found in runs.values() for r in found):
             k = first_failing_order(err, "dLq/dt = [Pq, Lq]")
             w_failed += first_failing_order(err, "dW/dt = Pq*W") is not None
@@ -373,29 +447,26 @@ def test_matrix_lax_solve_catches_a_faulty_kernel(monkeypatch, capsys, tmp_path)
 
 def test_lax_solve_lists_its_check_pairs_apart_from_convolution(monkeypatch, capsys, tmp_path):
     # with convolution dropping the last pair of every order that has more
-    # than one, the solver builds a wrong W and Lq; the checks list their
-    # own pairs, so both matrix files fail.  KdV's P has one t-degree, so
-    # each order has one pair and its output keeps every byte
-    from qlax import algebra, qseries, symops
-
-    real = algebra.convolution
-
-    def dropped(left, right, k):
-        pairs = real(left, right, k)
-        return pairs[:-1] if len(pairs) > 1 else pairs
-
+    # than one, or nonzero the last of the path's coefficients, the solver
+    # builds a wrong W and Lq; the checks list their own factors and pairs,
+    # so every matrix file fails.  KdV's P has one t-degree, so each order
+    # has one pair and its output keeps every byte.  With holes dropping
+    # the last nonzero coefficient, every output keeps every byte.
+    # dx_term_dropped stays out: KdV lax-solve then prints a wrong Lq under
+    # PASS, as its check still runs on the symbol kernel
+    paths = (PROBLEMS / "matrix3x3_n2.json", PROBLEMS / "matrix_symmetry_n3.json", matrix4x4_n10(tmp_path), PROBLEMS / "kdv_n2.json")
     for fmt in ("text", "json"):
-        for path in (PROBLEMS / "matrix3x3_n2.json", matrix4x4_n10(tmp_path), PROBLEMS / "kdv_n2.json"):
+        for path in paths:
             clean = run(capsys, "lax-solve", str(path), "--format", fmt)
             assert clean[0] == 0
-            with monkeypatch.context() as m:
-                for module in (algebra, laxflow, qseries, symops):
-                    m.setattr(module, "convolution", dropped)
-                code, out, err = run(capsys, "lax-solve", str(path), "--format", fmt)
-            if path.name == "kdv_n2.json":
-                assert (code, out, err) == clean
-            else:
-                assert code == 1 and out != clean[1] and err.startswith("failed check: "), (path.name, fmt)
+            for fault in (CONVOLUTION_DROPPED, NONZERO_DROPPED, HOLES_DROPPED):
+                with monkeypatch.context() as m:
+                    fault(m)
+                    code, out, err = run(capsys, "lax-solve", str(path), "--format", fmt)
+                if path.name == "kdv_n2.json" or fault is HOLES_DROPPED:
+                    assert (code, out, err) == clean, (path.name, fault.__name__, fmt)
+                else:
+                    assert code == 1 and out != clean[1] and err.startswith("failed check: "), (path.name, fault.__name__, fmt)
 
 
 def test_commands_never_invert_or_sum_iterated_integrals(monkeypatch):
@@ -441,14 +512,11 @@ def test_passing_lax_solve_never_builds_the_residual(monkeypatch, capsys, tmp_pa
                 solved += 1
     assert solved == 10
     assert run_deep(tmp_path) == DEEP
-    from qlax import PsdoSymbol, RatMatrix
-
     failed = 0
     for name in ("nilpotent2x2_n2.json", "matrix3x3_n2.json", "kdv_n2.json"):
         for fault, fmt in ((fault, fmt) for fault in DOT_FAULTS for fmt in ("text", "json")):
             with monkeypatch.context() as m:
-                for cls in (RatMatrix, PsdoSymbol):
-                    m.setattr(cls, "dot", staticmethod(fault(cls.dot)))
+                fault(m)
                 code = run(capsys, "lax-solve", str(PROBLEMS / name), "--format", fmt)[0]
             assert code in (0, 1), (name, fault.__name__, fmt)
             failed += code
@@ -823,9 +891,13 @@ def test_passing_symmetry_never_builds_the_residual(monkeypatch, capsys):
 
 def test_symmetry_with_a_broken_transport_fails_both_residuals(monkeypatch, capsys):
     # S + q*1 adds the identity to r3 at q^1, which maps Lq(0) = L0 != 0 to
-    # r2 at q^1: not a zero tensor, so r3 goes to the probes and r2 is
-    # computed, and both fail
+    # r2 at q^1: the per-order map is not empty, so r3 goes to the probes
+    # and r2 is computed, and both fail.  The map alone decides the tensor,
+    # so the built residual is never tested for a zero tensor again
     from qlax import BiOp, BiOpAlgebra, QSeries, cli
+
+    def refuse(*args):
+        raise AssertionError("the r3 tensor re-tested")
 
     real = cli.transport
 
@@ -837,6 +909,7 @@ def test_symmetry_with_a_broken_transport_fails_both_residuals(monkeypatch, caps
     real_apply = cli.apply_series
     monkeypatch.setattr(cli, "transport", broken)
     monkeypatch.setattr(cli, "apply_series", lambda sq, xq: calls.append(sq) or real_apply(sq, xq))
+    monkeypatch.setattr(BiOp, "tensor_is_zero", refuse)
     for name in ("matrix_symmetry_n3.json", "kdv_symmetry_n2.json"):
         code, out, _ = run(capsys, "symmetry", str(PROBLEMS / name))
         assert code == 1, name

@@ -290,6 +290,22 @@ def test_defects_raise_what_the_residual_raises():
             defects(QSeries.one(M2, 2), pq, bracket)
 
 
+def test_dot_defect_of_no_pairs_measures_k_times_the_target():
+    # an order with no step pairs compares k*x_k with the empty sum 0: None
+    # exactly when k*target is 0, else the largest magnitude of k*target
+    from qlax import PsdoSymbol
+
+    targets = (
+        RatMatrix.zeros(2), NILP, DIAG.scale(Fraction(-3, 7)),
+        PsdoSymbol.zero(), kdv_pair().L, parse_operator("d + u").scale(Fraction(1, 2)),
+    )
+    for target in targets:
+        for bracket in (False, True):
+            for k in (0, 1, 3):
+                expected = None if k == 0 or target.is_zero() else k * target.max_abs()
+                assert type(target).dot_defect([], bracket, k, target) == expected, (target, bracket, k)
+
+
 def test_lax_solve_computes_w_only_when_read(monkeypatch):
     import qlax.laxflow
 

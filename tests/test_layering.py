@@ -126,6 +126,14 @@ def test_matrix_comparison_never_calls_the_kernel():
         assert not called & {"dot", "_canonical", "RatMatrix", "gcd"}, (method, called)
 
 
+def test_flow_defects_list_their_own_factors_and_call_no_kernel():
+    # the flow checks list the path, the steps and the pairs themselves, so
+    # a fault in the solver's listing helpers or its kernel cannot confirm
+    # itself
+    called = called_names("laxflow", "defects")
+    assert not called & {"nonzero", "holes", "convolution", "dot"}, called
+
+
 def test_symmetry_defects_build_no_biop_and_call_no_kernel():
     # the per-order symmetry check brackets through the backend's own
     # bracket_coords, never through dot, a bracket method or a BiOp
